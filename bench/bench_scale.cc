@@ -4,14 +4,12 @@
 // the open question for this reproduction was whether the exact scan stays
 // interactive at millions of rows. This bench answers it with committed
 // numbers (BENCH_scale.json via scripts/run_scale_suite.sh): batched TopK
-// latency percentiles over {fp32, int8} x store sizes x shard counts, plus
-// the seen-aware scan-policy comparison.
+// latency percentiles over {fp32, int8} x store sizes x shard counts.
 //
 //   ./bench_scale [--sizes=1M,4M] [--dim=128] [--k=100] [--batch=8]
 //                 [--warmup=1] [--iters=5] [--threads=0] [--shards=0,8]
 //                 [--min-shard-rows=4096] [--centers=64]
-//                 [--policy-seen=0.9] [--min-recall=0.99]
-//                 [--tmpdir=/tmp] [--json]
+//                 [--min-recall=0.99] [--tmpdir=/tmp] [--json]
 //
 // Size tokens accept K/M suffixes (1M = 1000000). For each size the table
 // is *streamed*: clustered CLIP-like rows are generated in fixed-size
@@ -33,17 +31,6 @@
 //   kind=scan:   per (n, precision, shards) batched-scan latency stats —
 //                mean/p50/p95/p99 ms, rows/s, GB/s, qps, recall_at_k and
 //                speedup_vs_fp32_p50 on int8 rows.
-//   kind=policy: per (n) the seen-aware scan policy at --policy-seen seen
-//                fraction: compacted unseen-run enumeration vs per-row
-//                skip tests (bitwise-verified equal before timing).
-//   kind=memory: per (n) the NUMA-placement A/B (PR 9): int8 sharded scan
-//                with numa_placement off vs on, bitwise-verified equal
-//                before timing, plus per-scan hardware counters
-//                (perf_event cache misses where the host exposes a PMU,
-//                getrusage minor faults everywhere — see common/hw_counters).
-//                On single-node hosts `placed` is false and the arms are the
-//                same configuration by construction; the row still documents
-//                the fallback engaged and parity held.
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -54,8 +41,6 @@
 #include "bench/bench_util.h"
 #include "common/binary_io.h"
 #include "common/check.h"
-#include "common/hw_counters.h"
-#include "common/numa.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -79,7 +64,6 @@ struct ScaleArgs {
   std::vector<size_t> shards = {0};  // 0 = unsharded ExactStore
   size_t min_shard_rows = 4096;
   size_t centers = 0;  // 0 = auto: 64 rows per cluster, min 64 centers
-  double policy_seen = 0.9;
   double min_recall = 0.99;
   std::string tmpdir = "/tmp";
   bool json = false;
@@ -142,9 +126,6 @@ struct ScaleArgs {
       }
       if (std::strncmp(a, "--centers=", 10) == 0) {
         args.centers = std::strtoul(a + 10, nullptr, 10);
-      }
-      if (std::strncmp(a, "--policy-seen=", 14) == 0) {
-        args.policy_seen = std::atof(a + 14);
       }
       if (std::strncmp(a, "--min-recall=", 13) == 0) {
         args.min_recall = std::atof(a + 13);
@@ -420,121 +401,6 @@ int Run(int argc, char** argv) {
                       m.stats.p99_ms, m.rows_per_sec, m.gb_per_sec,
                       is_int8 ? recall : 1.0);
         }
-      }
-    }
-
-    // --- seen-policy rows: compacted unseen runs vs per-row skip tests. ---
-    if (args.policy_seen > 0) {
-      store::SeenSet seen(n);
-      Rng seen_rng(93);
-      for (size_t i = 0; i < n; ++i) {
-        if (seen_rng.Uniform() < args.policy_seen) {
-          seen.Set(static_cast<uint32_t>(i));
-        }
-      }
-      store::ExactStoreOptions compact_options, skip_options;
-      compact_options.compact_seen_fraction = 0.0;  // always compact
-      skip_options.compact_seen_fraction = 2.0;     // never compact
-      auto compact_store = store::ExactStore::Create(table, compact_options);
-      auto skip_store = store::ExactStore::Create(table, skip_options);
-      SEESAW_CHECK(compact_store.ok() && skip_store.ok());
-      // Policy is scan-order-preserving: results must match bitwise.
-      SEESAW_CHECK(SameResults(compact_store->TopK(spans[0], args.k, seen),
-                               skip_store->TopK(spans[0], args.k, seen)))
-          << "compacted scan diverged from skip-test scan at n=" << n;
-      Measurement skip = MeasureScan(*skip_store, spans, n, args.dim * 4,
-                                     args, seen, &pool);
-      Measurement compact = MeasureScan(*compact_store, spans, n,
-                                        args.dim * 4, args, seen, &pool);
-      const double policy_speedup =
-          compact.stats.p50_ms > 0 ? skip.stats.p50_ms / compact.stats.p50_ms
-                                   : 0.0;
-      if (args.json) {
-        std::printf(
-            "{\"kind\":\"policy\",\"n\":%zu,\"dim\":%zu,\"k\":%zu,"
-            "\"batch\":%zu,\"seen\":%.2f,\"skip_p50_ms\":%.3f,"
-            "\"skip_p95_ms\":%.3f,\"compact_p50_ms\":%.3f,"
-            "\"compact_p95_ms\":%.3f,\"compact_speedup_p50\":%.3f}\n",
-            n, args.dim, args.k, args.batch, args.policy_seen,
-            skip.stats.p50_ms, skip.stats.p95_ms, compact.stats.p50_ms,
-            compact.stats.p95_ms, policy_speedup);
-      } else {
-        std::printf("%-9zu policy seen=%.2f: skip_p50=%.2fms "
-                    "compact_p50=%.2fms speedup=%.2fx\n",
-                    n, args.policy_seen, skip.stats.p50_ms,
-                    compact.stats.p50_ms, policy_speedup);
-      }
-    }
-
-    // --- memory rows: NUMA placement A/B with per-scan counters. ---
-    {
-      // The placed arm needs a pool with worker->node affinity; scoped here
-      // so the sweep rows above keep their historical pool configuration.
-      // Single-node hosts: affinity and placement both degrade to no-ops
-      // and the two arms are identical configurations — the row then
-      // documents the fallback path at full scale.
-      ThreadPoolOptions affinity_options;
-      affinity_options.numa_affinity = true;
-      ThreadPool numa_pool(pool.num_threads(), affinity_options);
-
-      store::ShardedOptions unplaced_options;
-      unplaced_options.num_shards = 8;
-      for (size_t requested : args.shards) {
-        if (requested > 0) unplaced_options.num_shards = requested;
-      }
-      unplaced_options.min_rows_per_shard = args.min_shard_rows;
-      unplaced_options.precision = store::ScanPrecision::kInt8;
-      store::ShardedOptions placed_options = unplaced_options;
-      placed_options.numa_placement = true;
-
-      auto unplaced = store::ShardedStore::Create(table, unplaced_options);
-      auto placed = store::ShardedStore::Create(table, placed_options);
-      SEESAW_CHECK(unplaced.ok() && placed.ok());
-      // Placement must never change results (the fallback contract).
-      SEESAW_CHECK(SameResults(unplaced->TopK(spans[0], args.k),
-                               placed->TopK(spans[0], args.k)))
-          << "NUMA-placed scan diverged from unplaced at n=" << n;
-
-      Measurement un_m = MeasureScan(*unplaced, spans, n, args.dim, args,
-                                     no_seen, &numa_pool);
-      Measurement pl_m = MeasureScan(*placed, spans, n, args.dim, args,
-                                     no_seen, &numa_pool);
-      // Counters over one representative placed scan (the caller's share of
-      // a helped scan — self-profiling counters are per-thread).
-      hw::CounterScope scope;
-      scope.Start();
-      auto hits = placed->TopKBatch(std::span<const linalg::VecSpan>(spans),
-                                    args.k, no_seen, &numa_pool);
-      hw::CounterDeltas counters = scope.Read();
-      SEESAW_CHECK_EQ(hits.size(), spans.size());
-
-      const double placed_speedup =
-          pl_m.stats.p50_ms > 0 ? un_m.stats.p50_ms / pl_m.stats.p50_ms : 0.0;
-      if (args.json) {
-        std::printf(
-            "{\"kind\":\"memory\",\"n\":%zu,\"dim\":%zu,\"k\":%zu,"
-            "\"batch\":%zu,\"shards\":%zu,\"numa_available\":%s,"
-            "\"placed\":%s,\"unplaced_p50_ms\":%.3f,\"unplaced_p95_ms\":%.3f,"
-            "\"unplaced_p99_ms\":%.3f,\"placed_p50_ms\":%.3f,"
-            "\"placed_p95_ms\":%.3f,\"placed_p99_ms\":%.3f,"
-            "\"placed_speedup_p50\":%.3f,\"hw_counters\":%s,"
-            "\"scan_cache_misses\":%lld,\"scan_minor_faults\":%lld}\n",
-            n, args.dim, args.k, args.batch, placed->num_shards(),
-            numa::Available() ? "true" : "false",
-            placed->numa_placed() ? "true" : "false", un_m.stats.p50_ms,
-            un_m.stats.p95_ms, un_m.stats.p99_ms, pl_m.stats.p50_ms,
-            pl_m.stats.p95_ms, pl_m.stats.p99_ms, placed_speedup,
-            scope.hardware_available() ? "true" : "false",
-            static_cast<long long>(counters.cache_misses),
-            static_cast<long long>(counters.minor_faults));
-      } else {
-        std::printf("%-9zu memory numa=%d placed=%d: unplaced_p50=%.2fms "
-                    "placed_p50=%.2fms speedup=%.2fx cache_misses=%lld "
-                    "minor_faults=%lld\n",
-                    n, numa::Available(), placed->numa_placed(),
-                    un_m.stats.p50_ms, pl_m.stats.p50_ms, placed_speedup,
-                    static_cast<long long>(counters.cache_misses),
-                    static_cast<long long>(counters.minor_faults));
       }
     }
   }

@@ -1,10 +1,9 @@
 // Diagnostic (not a paper artifact): the memory-audit evidence tool.
 //
-// Four probes, each printing counters (hardware where the host has a PMU,
-// software everywhere):
+// Two probes, each printing counters (hardware where the host has a PMU,
+// software everywhere), after a host line (cache-line size, whether
+// hardware counters are available):
 //
-//   topology   what the NUMA layer sees (nodes, CPUs, availability) and
-//              whether placement/pinning would apply or degrade here.
 //   alignment  padded-vs-packed contended-atomic A/B: N threads each
 //              hammering their own counter, once packed on shared cache
 //              lines and once CacheAligned. On a multi-core host the packed
@@ -15,14 +14,11 @@
 //              shape ExactStore::TopKBatch uses, plus the end-to-end check
 //              that a warm GlobalScanScratch pool serves repeated real
 //              TopKBatch calls without creating arenas.
-//   placement  builds the same table as a placed and an unplaced
-//              ShardedStore and proves the results bitwise identical — the
-//              fallback contract CI smokes on its single-node runner.
 //
 // --json emits one object with every probe's numbers for scripts;
-// scripts/run_memory_smoke.sh gates CI on the invariant fields (parity,
-// fallback, zero steady-state arena creation) and ignores the
-// host-dependent ones.
+// scripts/run_memory_smoke.sh gates CI on the invariant fields (zero
+// steady-state arena creation, a zero-allocation arena arm) and ignores
+// the host-dependent ones.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -37,12 +33,10 @@
 #include "common/aligned.h"
 #include "common/arena.h"
 #include "common/hw_counters.h"
-#include "common/numa.h"
 #include "common/thread_pool.h"
 #include "linalg/matrix.h"
 #include "store/exact_store.h"
 #include "store/seen_set.h"
-#include "store/sharded_store.h"
 
 namespace {
 
@@ -321,87 +315,9 @@ ChurnResult RunChurn(const Args& args) {
   return r;
 }
 
-// ------------------------------------------------------------- placement --
-
-struct PlacementResult {
-  bool numa_available = false;
-  size_t nodes = 1;
-  bool placed = false;
-  bool bitwise_equal = false;
-  size_t shards = 4;
-};
-
-PlacementResult RunPlacement(const Args& args) {
-  PlacementResult r;
-  r.numa_available = numa::Available();
-  r.nodes = numa::NodeCount();
-
-  std::mt19937 rng(11);
-  std::normal_distribution<float> dist(0.f, 1.f);
-  linalg::MatrixF table(args.rows, args.dim);
-  for (size_t i = 0; i < args.rows; ++i) {
-    for (auto& v : table.MutableRow(i)) v = dist(rng);
-  }
-  linalg::MatrixF queries(args.queries, args.dim);
-  for (size_t q = 0; q < args.queries; ++q) {
-    for (auto& v : queries.MutableRow(q)) v = dist(rng);
-  }
-  std::vector<linalg::VecSpan> spans;
-  for (size_t q = 0; q < args.queries; ++q) spans.push_back(queries.Row(q));
-  store::SeenSet seen(args.rows);
-
-  auto copy = [&] {
-    linalg::MatrixF m(args.rows, args.dim);
-    for (size_t i = 0; i < args.rows; ++i) {
-      auto src = table.Row(i);
-      std::copy(src.begin(), src.end(), m.MutableRow(i).begin());
-    }
-    return m;
-  };
-
-  store::ShardedOptions base;
-  base.num_shards = r.shards;
-  store::ShardedOptions placed = base;
-  placed.numa_placement = true;
-
-  ThreadPoolOptions pool_options;
-  pool_options.numa_affinity = true;
-  ThreadPool pool(std::max<size_t>(2, args.threads), pool_options);
-
-  auto unplaced_store = store::ShardedStore::Create(copy(), base);
-  auto placed_store = store::ShardedStore::Create(copy(), placed);
-  r.placed = placed_store->numa_placed();
-
-  auto a = unplaced_store->TopKBatch(spans, 100, seen, &pool);
-  auto b = placed_store->TopKBatch(spans, 100, seen, &pool);
-  r.bitwise_equal = a.size() == b.size();
-  for (size_t q = 0; r.bitwise_equal && q < a.size(); ++q) {
-    r.bitwise_equal = a[q].size() == b[q].size();
-    for (size_t i = 0; r.bitwise_equal && i < a[q].size(); ++i) {
-      r.bitwise_equal =
-          a[q][i].id == b[q][i].id &&
-          std::memcmp(&a[q][i].score, &b[q][i].score, sizeof(float)) == 0;
-    }
-  }
-
-  std::printf("placement: numa_available=%d nodes=%zu placed=%d "
-              "bitwise_equal_vs_unplaced=%d\n",
-              r.numa_available, r.nodes, r.placed, r.bitwise_equal);
-  for (size_t s = 0; s < placed_store->num_shards(); ++s) {
-    std::printf("  shard %zu -> node %zu (worker pinning: %s)\n", s,
-                placed_store->shard_node(s),
-                pool.numa_affinity() ? "on" : "degraded/no-op");
-  }
-  return r;
-}
-
 int Run(const Args& args) {
-  std::printf("diag_memory: topology\n");
-  std::printf("  numa_available=%d nodes=%zu cacheline=%zu\n",
-              numa::Available(), numa::NodeCount(), kCacheLineSize);
-  for (size_t n = 0; n < numa::NodeCount(); ++n) {
-    std::printf("  node %zu: %zu cpus\n", n, numa::CpusOfNode(n).size());
-  }
+  std::printf("diag_memory: host\n");
+  std::printf("  cacheline=%zu\n", kCacheLineSize);
   {
     hw::CounterScope probe;
     std::printf("  hardware counters: %s\n",
@@ -412,12 +328,10 @@ int Run(const Args& args) {
 
   AlignmentResult alignment = RunAlignment(args);
   ChurnResult churn = RunChurn(args);
-  PlacementResult placement = RunPlacement(args);
 
   if (args.json) {
     std::printf(
-        "JSON{\"numa_available\": %s, \"nodes\": %zu, "
-        "\"hardware_counters\": %s, "
+        "JSON{\"hardware_counters\": %s, "
         "\"alignment\": {\"threads\": %zu, \"packed_ms\": %.3f, "
         "\"padded_ms\": %.3f, \"packed_cache_misses\": %lld, "
         "\"padded_cache_misses\": %lld}, "
@@ -425,9 +339,7 @@ int Run(const Args& args) {
         "\"arena_allocs_per_iter\": %llu, \"fresh_minor_faults\": %lld, "
         "\"arena_minor_faults\": %lld, \"scan_serial_flat\": %s, "
         "\"scan_arenas_created\": %llu, \"scan_arena_bound\": %llu, "
-        "\"scan_allocs_per_warm_call\": %llu}, "
-        "\"placement\": {\"placed\": %s, \"bitwise_equal\": %s}}\n",
-        numa::Available() ? "true" : "false", numa::NodeCount(),
+        "\"scan_allocs_per_warm_call\": %llu}}\n",
         alignment.hardware ? "true" : "false", args.threads,
         alignment.packed_ms, alignment.padded_ms,
         static_cast<long long>(alignment.packed_cache_misses),
@@ -439,17 +351,11 @@ int Run(const Args& args) {
         churn.scan_serial_flat ? "true" : "false",
         static_cast<unsigned long long>(churn.scan_arenas_created),
         static_cast<unsigned long long>(churn.scan_arena_bound),
-        static_cast<unsigned long long>(churn.scan_allocs_delta_warm),
-        placement.placed ? "true" : "false",
-        placement.bitwise_equal ? "true" : "false");
+        static_cast<unsigned long long>(churn.scan_allocs_delta_warm));
   }
 
   // Invariants any host must satisfy (CI smoke gates on the JSON mirror of
-  // these): parity regardless of placement, steady warm arena pool.
-  if (!placement.bitwise_equal) {
-    std::fprintf(stderr, "FAIL: placed store diverged from unplaced\n");
-    return 1;
-  }
+  // these): steady warm arena pool.
   if (!churn.scan_serial_flat) {
     std::fprintf(stderr,
                  "FAIL: warm serial TopKBatch calls still create arenas\n");

@@ -7,10 +7,11 @@ break. Run from anywhere (the repo root is derived from this file's
 location); exits 0 when clean, 1 with one line per violation otherwise.
 
 Rules
-  scan-control      Every TopK/TopKBatch override in src/store must thread
-                    store::ScanControl — the in-scan cancellation seam (PR 4)
-                    that a new backend could quietly drop, turning cancelled
-                    speculations back into run-to-completion scans.
+  scan-control      Every TopKBatch override (the one virtual scan) in
+                    src/store must thread store::ScanControl — the in-scan
+                    cancellation seam that a new backend could quietly
+                    drop, turning cancelled speculations back into
+                    run-to-completion scans.
   raw-threading     No raw std::thread / std::mutex / std::condition_variable
                     / lock_guard / unique_lock / scoped_lock / detach() in
                     src outside common/ (and none anywhere in bench/ or
@@ -89,10 +90,11 @@ def _strip_comments(text: str) -> str:
 
 
 # --------------------------------------------------------------- scan-control
-# Matches a TopK/TopKBatch member declaration/definition up to its parameter
-# list, tolerating multi-line parameter lists.
+# Matches a TopKBatch override declaration up to its parameter list,
+# tolerating multi-line parameter lists. TopK is a non-virtual batch of one,
+# so TopKBatch is the only scan a backend can override.
 _TOPK_SIG = re.compile(
-    r"\b(TopK|TopKBatch)\s*\(([^;{]*?)\)\s*(?:const\s*)?override", re.DOTALL
+    r"\b(TopKBatch)\s*\(([^;{]*?)\)\s*(?:const\s*)?override", re.DOTALL
 )
 
 
@@ -401,15 +403,12 @@ def check_atomic_layout(root: Path) -> list[str]:
 # ----------------------------------------------------------------- bench-json
 # Latency benches must commit percentiles, not just means (PR 6's contract).
 # Keyed by filename; other BENCH files need only parse and carry rows. Every
-# row needs p50/p95; p99 is additionally required except on kind=="policy"
-# rows (A/B comparison rows commit a p50/p95 pair per arm — p99 is noise at
-# the per-arm sample counts those sweeps use).
+# row needs p50/p95/p99.
 _PERCENTILE_FILES = {
     "BENCH_scale.json": ("p50_ms", "p95_ms", "p99_ms"),
     "BENCH_topk.json": ("p50_ms", "p95_ms", "p99_ms"),
     "BENCH_serving.json": ("p50_ms", "p95_ms", "p99_ms"),
 }
-_P99_EXEMPT_KINDS = {"policy"}
 
 
 def check_bench_json(root: Path) -> list[str]:
@@ -430,10 +429,7 @@ def check_bench_json(root: Path) -> list[str]:
             continue
         for i, row in enumerate(rows):
             keys = set(row)
-            exempt_p99 = row.get("kind") in _P99_EXEMPT_KINDS
             for wanted in suffixes:
-                if wanted == "p99_ms" and exempt_p99:
-                    continue
                 if not any(k.endswith(wanted) for k in keys):
                     errors.append(
                         f"{rel}:1: [bench-json] rows[{i}] carries no "
@@ -486,9 +482,10 @@ def self_test() -> int:
         # A miniature clean tree: every rule must pass on it.
         _write(
             root / "src/store/good_store.h",
-            "std::vector<SearchResult> TopK(linalg::VecSpan q, size_t k,\n"
-            "    const SeenSet& seen, const ScanControl& control)\n"
-            "    const override;\n",
+            "std::vector<std::vector<SearchResult>> TopKBatch(\n"
+            "    std::span<const linalg::VecSpan> queries, size_t k,\n"
+            "    const SeenSet& seen, ThreadPool* pool,\n"
+            "    const ScanControl& control) const override;\n",
         )
         _write(root / "src/core/clean.cc", "int x = 0;  // std::mutex in comment\n")
         _write(
@@ -545,10 +542,7 @@ def self_test() -> int:
             root / "BENCH_scale.json",
             json.dumps(
                 {"bench": "scale", "rows": [
-                    {"p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0},
-                    # policy A/B rows commit p50/p95 per arm, no p99.
-                    {"kind": "policy", "skip_p50_ms": 1.0,
-                     "skip_p95_ms": 2.0}]}
+                    {"p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0}]}
             ),
         )
         clean = run_all(root)
@@ -558,8 +552,9 @@ def self_test() -> int:
         # scan-control: an override that drops ScanControl.
         _write(
             root / "src/store/bad_store.h",
-            "std::vector<SearchResult> TopK(linalg::VecSpan q, size_t k,\n"
-            "    const SeenSet& seen) const override;\n",
+            "std::vector<std::vector<SearchResult>> TopKBatch(\n"
+            "    std::span<const linalg::VecSpan> queries, size_t k,\n"
+            "    const SeenSet& seen, ThreadPool* pool) const override;\n",
         )
         expect("scan-control", check_scan_control(root), "[scan-control]", True)
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/numa.h"
 
 namespace seesaw {
 
@@ -26,24 +25,11 @@ void TaskHandle::Wait() {
   });
 }
 
-ThreadPool::ThreadPool(size_t num_threads, const ThreadPoolOptions& options) {
+ThreadPool::ThreadPool(size_t num_threads) {
   SEESAW_CHECK_GE(num_threads, 1u);
-  // Affinity only engages when it can route anything: a single-node host
-  // (or a non-Linux build, where NodeCount() is 1) gets the plain pool, so
-  // enabling the option is always safe and a no-op where it cannot help.
-  const bool affinity = options.numa_affinity && numa::Available();
-  num_hint_nodes_ = affinity ? numa::NodeCount() : 0;
-  {
-    MutexLock lock(mu_);
-    node_queues_.resize(num_hint_nodes_);
-  }
-  worker_nodes_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    worker_nodes_.push_back(affinity ? i % numa::NodeCount() : 0);
-  }
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -56,50 +42,28 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::SubmitToQueue(std::function<void()> task, size_t node_hint) {
+void ThreadPool::Submit(std::function<void()> task) {
   {
     MutexLock lock(mu_);
     SEESAW_CHECK(!shutting_down_) << "Submit after shutdown";
-    if (node_hint < node_queues_.size()) {
-      node_queues_[node_hint].push(std::move(task));
-    } else {
-      queue_.push(std::move(task));
-    }
+    queue_.push(std::move(task));
   }
-  // NotifyOne may wake a worker of a different node; that worker will still
-  // find the task via PopTaskLocked's fallback order, so no signal is lost
-  // to the hint routing.
   work_available_.NotifyOne();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  SubmitToQueue(std::move(task), worker_nodes_.size());
-}
-
-void ThreadPool::Submit(std::function<void()> task, size_t node_hint) {
-  SubmitToQueue(std::move(task), node_hint);
-}
-
 TaskHandle ThreadPool::SubmitWithResult(std::function<void()> task) {
-  return SubmitWithResult(std::move(task), worker_nodes_.size());
-}
-
-TaskHandle ThreadPool::SubmitWithResult(std::function<void()> task,
-                                        size_t node_hint) {
   auto state = std::make_shared<TaskHandle::State>();
-  Submit(
-      [state, task = std::move(task)] {
-        task();
-        // Publish completion under the state lock *and* notify under it: a
-        // waiter that checked `done` false cannot park before we flip it
-        // (the check-then-park is atomic under state->mu inside HelpUntil),
-        // so the notify cannot be lost. The release store publishes the
-        // task's writes to lock-free done()/Wait() fast paths.
-        MutexLock lock(state->mu);
-        state->done.value.store(true, std::memory_order_release);
-        state->cv.NotifyAll();
-      },
-      node_hint);
+  Submit([state, task = std::move(task)] {
+    task();
+    // Publish completion under the state lock *and* notify under it: a
+    // waiter that checked `done` false cannot park before we flip it (the
+    // check-then-park is atomic under state->mu inside HelpUntil), so the
+    // notify cannot be lost. The release store publishes the task's writes
+    // to lock-free done()/Wait() fast paths.
+    MutexLock lock(state->mu);
+    state->done.value.store(true, std::memory_order_release);
+    state->cv.NotifyAll();
+  });
   return TaskHandle(std::move(state), this);
 }
 
@@ -124,68 +88,29 @@ void ThreadPool::HelpUntil(Mutex& mu, CondVar& cv,
   }
 }
 
-bool ThreadPool::PopTaskLocked(size_t preferred_node,
-                               std::function<void()>& out) {
-  auto take = [&out](std::queue<std::function<void()>>& q) {
-    out = std::move(q.front());
-    q.pop();
-  };
-  if (preferred_node < node_queues_.size() &&
-      !node_queues_[preferred_node].empty()) {
-    take(node_queues_[preferred_node]);
-    return true;
-  }
-  if (!queue_.empty()) {
-    take(queue_);
-    return true;
-  }
-  for (auto& q : node_queues_) {
-    if (!q.empty()) {
-      take(q);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ThreadPool::QueuesEmptyLocked() const {
-  if (!queue_.empty()) return false;
-  for (const auto& q : node_queues_) {
-    if (!q.empty()) return false;
-  }
-  return true;
-}
-
 bool ThreadPool::TryRunOneTask() {
   std::function<void()> task;
   {
     MutexLock lock(mu_);
-    // Helping waiters take the locality they happen to have: prefer work
-    // hinted at the node this thread is currently on.
-    if (!PopTaskLocked(node_queues_.empty() ? 0 : numa::CurrentNode(), task)) {
-      return false;
-    }
+    if (queue_.empty()) return false;
+    task = std::move(queue_.front());
+    queue_.pop();
   }
   task();
   return true;
 }
 
-void ThreadPool::WorkerLoop(size_t worker_index) {
-  const size_t my_node = worker_nodes_[worker_index];
-  if (num_hint_nodes_ > 0) {
-    // Pin before any work: the first task's first-touch allocations land on
-    // this node. A refused pin (cgroup cpuset) degrades silently — the
-    // worker still prefers its node's queue, it just may run elsewhere.
-    numa::PinThreadToNode(my_node);
-  }
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {
       MutexLock lock(mu_);
-      while (!shutting_down_ && QueuesEmptyLocked()) work_available_.Wait(mu_);
-      // Shutting down: drain everything (hinted queues included) before
-      // exiting so destruction keeps its "drains the queue" contract.
-      if (!PopTaskLocked(my_node, task)) return;
+      while (!shutting_down_ && queue_.empty()) work_available_.Wait(mu_);
+      // Shutting down: drain the queue before exiting so destruction keeps
+      // its "drains the queue" contract.
+      if (queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop();
     }
     task();
   }

@@ -76,19 +76,6 @@ class TaskHandle {
   ThreadPool* pool_ = nullptr;
 };
 
-/// Construction-time knobs. Kept a struct (not constructor flags) so the
-/// next knob doesn't grow a boolean-parameter trap.
-struct ThreadPoolOptions {
-  /// When true on a multi-node Linux host, worker i is pinned to NUMA node
-  /// `i % numa::NodeCount()` and the pool accepts per-task node hints
-  /// (Submit/SubmitWithResult overloads): a hinted task is *preferred* by
-  /// workers pinned to that node but remains runnable by anyone — hints
-  /// trade locality, never liveness (see PopTaskLocked). On single-node or
-  /// non-Linux hosts this degrades to the default pool: no pinning, hints
-  /// ignored, behavior byte-for-byte identical.
-  bool numa_affinity = false;
-};
-
 /// A minimal shared thread pool with cooperative nested waiting.
 ///
 /// Tasks are void() callables. The pool is intended for coarse-grained batch
@@ -106,14 +93,10 @@ struct ThreadPoolOptions {
 ///    task, so its wait can extend by one task's runtime.
 ///  - Cancellation is cooperative via CancellationToken; cancelling never
 ///    removes a queued task, it only asks the task body to finish early.
-///  - NUMA hints are preferences: every queued task is visible to every
-///    worker and to helping waiters, so enabling affinity can change
-///    execution placement but never which tasks run or whether they run.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (>= 1).
-  explicit ThreadPool(size_t num_threads,
-                      const ThreadPoolOptions& options = {});
+  explicit ThreadPool(size_t num_threads);
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -124,20 +107,10 @@ class ThreadPool {
   /// Enqueues a task for asynchronous execution (fire and forget).
   void Submit(std::function<void()> task) SEESAW_EXCLUDES(mu_);
 
-  /// As Submit, with a NUMA-node preference: workers pinned to `node_hint`
-  /// pop this task before unhinted work. Out-of-range hints and pools built
-  /// without numa_affinity fall back to the unhinted queue.
-  void Submit(std::function<void()> task, size_t node_hint)
-      SEESAW_EXCLUDES(mu_);
-
   /// Enqueues a task and returns a handle that waits on exactly that task.
   /// Pair with a CancellationToken captured by the task for cancellable
   /// background work (e.g. speculative prefetch).
   TaskHandle SubmitWithResult(std::function<void()> task) SEESAW_EXCLUDES(mu_);
-
-  /// As SubmitWithResult, with a NUMA-node preference (see hinted Submit).
-  TaskHandle SubmitWithResult(std::function<void()> task, size_t node_hint)
-      SEESAW_EXCLUDES(mu_);
 
   /// Runs one queued task on the calling thread if any is queued. Returns
   /// false when the queue was empty. This is the helping primitive behind
@@ -147,16 +120,6 @@ class ThreadPool {
   /// Number of worker threads. (workers_ is immutable after construction,
   /// so this needs no lock.)
   size_t num_threads() const { return workers_.size(); }
-
-  /// The NUMA node worker `i` prefers (and is pinned to when the host
-  /// supports it). Always 0 when the pool was built without numa_affinity
-  /// or the host has one node. (worker_nodes_ is construction-immutable.)
-  size_t worker_node(size_t i) const { return worker_nodes_[i]; }
-
-  /// Whether this pool was built with numa_affinity on a host where it
-  /// takes effect (i.e. hints actually route work). (num_hint_nodes_ is
-  /// construction-immutable, so this needs no lock.)
-  bool numa_affinity() const { return num_hint_nodes_ > 0; }
 
   /// Splits [0, n) into roughly equal chunks and runs `fn(begin, end)` on
   /// the pool, blocking until all chunks complete. `fn` must be safe to
@@ -184,33 +147,16 @@ class ThreadPool {
   void HelpUntil(Mutex& mu, CondVar& cv, const std::function<bool()>& done)
       SEESAW_EXCLUDES(mu, mu_);
 
-  void SubmitToQueue(std::function<void()> task, size_t node_hint)
-      SEESAW_EXCLUDES(mu_);
+  void WorkerLoop() SEESAW_EXCLUDES(mu_);
 
-  /// Pops the next task, preferring `preferred_node`'s hinted queue, then
-  /// the unhinted queue, then other nodes' hinted queues. The fallback tail
-  /// is the liveness half of the hint contract: a hinted task is never
-  /// stranded waiting for "its" workers — any worker or helping waiter will
-  /// eventually take it. Pass worker_nodes_.size() (or any out-of-range
-  /// value) for "no preference". Returns false when everything is empty.
-  bool PopTaskLocked(size_t preferred_node, std::function<void()>& out)
-      SEESAW_REQUIRES(mu_);
-
-  bool QueuesEmptyLocked() const SEESAW_REQUIRES(mu_);
-
-  void WorkerLoop(size_t worker_index) SEESAW_EXCLUDES(mu_);
-
-  std::vector<std::thread> workers_;      // construction-immutable
-  std::vector<size_t> worker_nodes_;      // construction-immutable
-  size_t num_hint_nodes_ = 0;             // construction-immutable
-  Mutex mu_;
+  std::vector<std::thread> workers_;  // construction-immutable
+  // mu_, work_available_ and queue_ are written on every Submit and pop.
+  // Starting them on a fresh cache line (which also pads the pool's size to
+  // whole lines) keeps that traffic off the lines of the object the pool is
+  // embedded in: SessionManager's per-request mutex sits right after it.
+  alignas(kCacheLineSize) Mutex mu_;
   CondVar work_available_;
   std::queue<std::function<void()>> queue_ SEESAW_GUARDED_BY(mu_);
-  /// One hinted queue per NUMA node; empty vector when affinity is off or
-  /// the host has a single node (the hinted Submit overloads then collapse
-  /// into the unhinted path). Sized before workers spawn, never resized.
-  std::vector<std::queue<std::function<void()>>> node_queues_
-      SEESAW_GUARDED_BY(mu_);
   bool shutting_down_ SEESAW_GUARDED_BY(mu_) = false;
 };
 

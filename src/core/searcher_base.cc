@@ -68,21 +68,17 @@ std::vector<ScoredImage> SearcherBase::ComputeTopImages(
     // patch-level bitset; a shared pool (managed sessions) shards the scan.
     // The cancellation token rides into the scan itself (store::ScanControl)
     // so a cancelled speculation stops mid-scan — per row block / probed
-    // list — not just between k-doubling rounds. Both the batched and the
-    // scalar path checkpoint.
+    // list — not just between k-doubling rounds.
     store::ScanControl control;
     control.cancel = cancel;
-    std::vector<store::SearchResult> hits;
-    if (pool != nullptr) {
-      linalg::VecSpan queries[] = {query};
-      hits = std::move(store
-                           .TopKBatch(std::span<const linalg::VecSpan>(
-                                          queries, 1),
-                                      k, seen_patches, pool, control)
-                           .front());
-    } else {
-      hits = store.TopK(query, k, seen_patches, control);
-    }
+    linalg::VecSpan queries[] = {query};
+    std::vector<std::vector<store::SearchResult>> batch =
+        store.TopKBatch(std::span<const linalg::VecSpan>(queries, 1), k,
+                        seen_patches, pool, control);
+    // A failed remote scan returns no result lists: read it as no hits.
+    std::vector<store::SearchResult> hits =
+        batch.empty() ? std::vector<store::SearchResult>{}
+                      : std::move(batch.front());
     // A cancelled scan returns partial hits; drop them (the caller discards
     // the whole speculation anyway) rather than let a truncated candidate
     // list masquerade as "store exhausted".

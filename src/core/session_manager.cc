@@ -12,13 +12,7 @@ SessionManager::SessionManager(const SeeSawService& service,
       prefetch_policy_(prefetch),
       limits_(limits),
       budget_(prefetch.max_in_flight),
-      // The shared lookup pool opts into NUMA worker affinity outright: on
-      // single-node hosts (every CI runner) it is a documented no-op, and
-      // on multi-node hosts it is the intended serving shape — workers
-      // pinned per node so NUMA-placed ShardedStores can hint shard scans
-      // at the node holding the shard's pages (see ThreadPoolOptions).
-      pool_(num_threads == 0 ? ThreadPool::DefaultThreads() : num_threads,
-            ThreadPoolOptions{.numa_affinity = true}) {}
+      pool_(num_threads == 0 ? ThreadPool::DefaultThreads() : num_threads) {}
 
 int64_t SessionManager::NowNs() const {
   if (clock_override_) return clock_override_();

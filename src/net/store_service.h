@@ -1,8 +1,9 @@
 // StoreFrameService: the shard-serving request handler, socket-free.
 //
-// Maps one decoded store frame (kStoreInfo / kStoreTopK / kStoreTopKBatch /
+// Maps one decoded store frame (kStoreInfo / kStoreTopKBatch /
 // kStoreGetVector) to the bytes of its complete reply frame — the matching
-// reply type on success, a typed kError frame otherwise. SeeSawServer's
+// reply type on success, a typed kError frame otherwise (the retired
+// kStoreTopK included: kUnknownType). SeeSawServer's
 // store mode routes frames here from its handler pool; the fault-injection
 // harness (tests/fault_socket.h) calls it directly with no socket in sight,
 // which is what makes every failure-semantics test deterministic.

@@ -64,6 +64,8 @@ enum class FrameType : uint16_t {
   // bits intact, which is what makes remote-vs-local scans bitwise
   // comparable. Types are wire contract — append, never renumber.
   kStoreInfo = 7,
+  /// Retired single-query lookup (a batch of one is a kStoreTopKBatch).
+  /// The number stays reserved; servers answer it with kUnknownType.
   kStoreTopK = 8,
   kStoreTopKBatch = 9,
   kStoreGetVector = 10,
@@ -75,7 +77,7 @@ enum class FrameType : uint16_t {
   kCloseSessionReply = kCloseSession | kReplyBit,
   kPingReply = kPing | kReplyBit,
   kStoreInfoReply = kStoreInfo | kReplyBit,
-  kStoreTopKReply = kStoreTopK | kReplyBit,
+  kStoreTopKReply = kStoreTopK | kReplyBit,  // reserved, never sent
   kStoreTopKBatchReply = kStoreTopKBatch | kReplyBit,
   kStoreGetVectorReply = kStoreGetVector | kReplyBit,
 
@@ -222,23 +224,12 @@ struct StoreInfoReply {
   uint32_t dim = 0;   ///< their dimensionality
 };
 
-/// One scalar lookup against the peer's store. The seen set is the
-/// shard-local Slice the sharded caller already computes — capacity plus
-/// raw bit words (SeenSet::words()), so the peer reconstructs exactly the
-/// exclusion view a local child store would have been handed.
-struct StoreTopKRequest {
-  linalg::VectorF query;
-  uint32_t k = 0;
-  store::SeenSet seen;
-};
-
-/// Hits in canonical order, float bits intact (see FrameType::kStoreTopK).
-struct StoreTopKReply {
-  std::vector<store::SearchResult> results;
-};
-
 /// Batched lookup: the whole query batch in one frame, one result list per
-/// query in the reply. results[i] corresponds to queries[i].
+/// query in the reply, hits in canonical order with float bits intact.
+/// results[i] corresponds to queries[i]. The seen set is the shard-local
+/// Slice the sharded caller already computes — capacity plus raw bit words
+/// (SeenSet::words()), so the peer reconstructs exactly the exclusion view
+/// a local child store would have been handed.
 struct StoreTopKBatchRequest {
   std::vector<linalg::VectorF> queries;
   uint32_t k = 0;
@@ -296,11 +287,6 @@ bool DecodeErrorReply(std::string_view payload, ErrorReply* msg);
 
 std::string EncodeStoreInfoReply(const StoreInfoReply& msg);
 bool DecodeStoreInfoReply(std::string_view payload, StoreInfoReply* msg);
-
-std::string EncodeStoreTopKRequest(const StoreTopKRequest& msg);
-bool DecodeStoreTopKRequest(std::string_view payload, StoreTopKRequest* msg);
-std::string EncodeStoreTopKReply(const StoreTopKReply& msg);
-bool DecodeStoreTopKReply(std::string_view payload, StoreTopKReply* msg);
 
 std::string EncodeStoreTopKBatchRequest(const StoreTopKBatchRequest& msg);
 bool DecodeStoreTopKBatchRequest(std::string_view payload,

@@ -7,7 +7,6 @@
 #include "common/aligned.h"
 #include "common/arena.h"
 #include "common/check.h"
-#include "common/numa.h"
 #include "common/thread_pool.h"
 #include "linalg/simd.h"
 
@@ -63,60 +62,6 @@ StatusOr<ExactStore> ExactStore::Create(linalg::MatrixF vectors,
   return store;
 }
 
-void ExactStore::BindStorageToNode(size_t node) {
-  numa::BindMemoryToNode(vectors_.mutable_data().data(),
-                         vectors_.mutable_data().size() * sizeof(float), node);
-  if (!quantized_.empty()) {
-    numa::BindMemoryToNode(quantized_.data.data(), quantized_.data.size(),
-                           node);
-    numa::BindMemoryToNode(quantized_.scales.data(),
-                           quantized_.scales.size() * sizeof(float), node);
-  }
-}
-
-std::vector<SearchResult> ExactStore::TopK(linalg::VecSpan query, size_t k,
-                                           const SeenSet& seen,
-                                           const ScanControl& control) const {
-  SEESAW_CHECK_EQ(query.size(), vectors_.cols());
-  TopKHeap heap(k);
-  const size_t n = vectors_.rows();
-  const size_t dim = vectors_.cols();
-  // Checkpoint every kRowBlock rows — the same stride the batched scan
-  // checkpoints at — so a cancelled speculative lookup on the scalar path
-  // stops mid-table too. The checkpoints do not affect scoring or order:
-  // an uncancelled scan returns exactly the pre-control result.
-  if (options_.precision == ScanPrecision::kInt8) {
-    // Quantize the query once; per-pair scoring follows the int8 family's
-    // fixed spec (combined = row_scale * query_scale, then one multiply), so
-    // the scalar lookup is bitwise equal to the batched int8 scan.
-    const linalg::QuantizedVector q = linalg::QuantizeQuery(query);
-    const linalg::Int8KernelTable& kernels = linalg::ActiveInt8Kernels();
-    for (size_t block = 0; block < n; block += kRowBlock) {
-      if (control.ShouldStop()) break;
-      const size_t block_end = std::min(n, block + kRowBlock);
-      for (size_t i = block; i < block_end; ++i) {
-        uint32_t id = static_cast<uint32_t>(i);
-        if (seen.Test(id)) continue;
-        const int32_t acc =
-            kernels.dot_i32(quantized_.Row(i), q.data.data(), dim);
-        const float combined = quantized_.scale(i) * q.scale;
-        heap.Push(id, static_cast<float>(acc) * combined);
-      }
-    }
-    return heap.TakeSorted();
-  }
-  for (size_t block = 0; block < n; block += kRowBlock) {
-    if (control.ShouldStop()) break;
-    const size_t block_end = std::min(n, block + kRowBlock);
-    for (size_t i = block; i < block_end; ++i) {
-      uint32_t id = static_cast<uint32_t>(i);
-      if (seen.Test(id)) continue;
-      heap.Push(id, linalg::Dot(vectors_.Row(i), query));
-    }
-  }
-  return heap.TakeSorted();
-}
-
 std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
     std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
     ThreadPool* pool, const ScanControl& control) const {
@@ -155,15 +100,6 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
           linalg::QuantizeVectorInto(queries[q], qdata.data() + q * dim);
     }
   }
-
-  // Scan policy: once most rows are seen, enumerating the unseen set as
-  // run-length compacted intervals beats testing every row bit-by-bit. The
-  // intervals are exactly the blocks the skip-test loop produces, so both
-  // policies score the same blocks in the same order (bitwise-identical
-  // results, same cancellation checkpoints — one per scored block).
-  const bool compact_scan =
-      static_cast<double>(seen.count()) >=
-      options_.compact_seen_fraction * static_cast<double>(n);
 
   size_t num_shards = 1;
   if (pool != nullptr && pool->num_threads() > 1) {
@@ -247,20 +183,10 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
         }
       }
     };
-    // Seen rows are skipped before scoring (exactly like the scalar scan):
-    // blocks are maximal unseen runs, capped at kRowBlock rows. Each block
-    // is a cancellation checkpoint: a cancelled scan abandons the rest of
-    // this shard's rows (partial heaps; the caller discards them).
-    if (compact_scan) {
-      std::vector<std::pair<uint32_t, uint32_t>> runs;
-      seen.AppendUnseenRuns(static_cast<uint32_t>(begin),
-                            static_cast<uint32_t>(end), kRowBlock, &runs);
-      for (const auto& [run_begin, run_end] : runs) {
-        if (control.ShouldStop()) return;
-        score_run(run_begin, run_end);
-      }
-      return;
-    }
+    // Seen rows are skipped before scoring: blocks are maximal unseen runs,
+    // capped at kRowBlock rows. Each block is a cancellation checkpoint: a
+    // cancelled scan abandons the rest of this shard's rows (partial heaps;
+    // the caller discards them).
     size_t r = begin;
     while (r < end) {
       if (seen.Test(static_cast<uint32_t>(r))) {

@@ -74,16 +74,6 @@ std::vector<SearchResult> IvfFlatIndex::ScanLists(
   return heap.TakeSorted();
 }
 
-std::vector<SearchResult> IvfFlatIndex::TopK(linalg::VecSpan query, size_t k,
-                                             const SeenSet& seen,
-                                             const ScanControl& control) const {
-  SEESAW_CHECK_EQ(query.size(), vectors_.cols());
-  // Rank cells by centroid inner product (vectors are unit norm, so inner
-  // product ordering ~ distance ordering).
-  linalg::VectorF centroid_scores = centroids_.MatVec(query);
-  return ScanLists(query, RankCells(centroid_scores), k, seen, control);
-}
-
 std::vector<std::vector<SearchResult>> IvfFlatIndex::TopKBatch(
     std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
     ThreadPool* pool, const ScanControl& control) const {

@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace seesaw::store {
@@ -49,21 +48,6 @@ class SeenSet {
   /// ShardedStore derives each child's exclusion view from the session's
   /// global seen set; word-shift copy, O((end-begin)/64).
   SeenSet Slice(uint32_t begin, uint32_t end) const;
-
-  /// Appends the maximal runs of consecutive unseen ids in [begin, end) to
-  /// `runs` as half-open (first, last+1) intervals, each chopped into pieces
-  /// of at most `max_run` ids (a maximal run longer than max_run becomes
-  /// back-to-back intervals). Ids at or past capacity are unseen, matching
-  /// Test(). Word-at-a-time scan, O((end-begin)/64 + runs).
-  ///
-  /// This is the run-length-compacted form of the unseen set: when most ids
-  /// are seen, the batched exact scan iterates these few intervals instead
-  /// of testing every row. The interval boundaries are *exactly* the score
-  /// blocks the per-row skip-test loop produces (same maximal runs, same
-  /// max_run chopping), so a scan driven by either enumeration scores the
-  /// same blocks in the same order — bitwise-identical results.
-  void AppendUnseenRuns(uint32_t begin, uint32_t end, uint32_t max_run,
-                        std::vector<std::pair<uint32_t, uint32_t>>* runs) const;
 
   /// The backing bit words, least-significant bit of words()[0] is id 0;
   /// exactly ceil(capacity/64) entries with every bit past capacity zero.

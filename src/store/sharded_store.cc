@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/numa.h"
 #include "common/thread_pool.h"
 #include "store/exact_store.h"
 
@@ -44,15 +43,8 @@ StatusOr<ShardedStore> ShardedStore::Create(linalg::MatrixF vectors,
   const size_t base = n / num_shards;
   const size_t extra = n % num_shards;
 
-  // Placement engages only where it can matter; everywhere else the store
-  // is constructed exactly as before (numa_placed() false, nodes all 0) —
-  // that degenerate path IS the documented non-NUMA fallback, not a
-  // separate code path, which is what keeps it bitwise-trivially correct.
-  const bool place = options.numa_placement && numa::Available();
-
   std::vector<std::unique_ptr<VectorStore>> shards;
   std::vector<uint32_t> begin(num_shards + 1, 0);
-  std::vector<size_t> shard_nodes(num_shards, 0);
   size_t row = 0;
   for (size_t s = 0; s < num_shards; ++s) {
     const size_t rows = base + (s < extra ? 1 : 0);
@@ -61,39 +53,17 @@ StatusOr<ShardedStore> ShardedStore::Create(linalg::MatrixF vectors,
       auto src = vectors.Row(row + r);
       std::copy(src.begin(), src.end(), part.MutableRow(r).begin());
     }
-    const size_t node = place ? numa::NodeForShard(s) : 0;
-    shard_nodes[s] = node;
-    if (place) {
-      // Bind the partition buffer *before* the factory runs: the rows were
-      // just written by this (arbitrary-node) thread, so first-touch put
-      // them wherever Create runs — MPOL_MF_MOVE migrates them to the
-      // shard's node. Children that take ownership by moving the matrix
-      // keep this binding for free (vector moves preserve the heap block).
-      numa::BindMemoryToNode(part.mutable_data().data(),
-                             part.mutable_data().size() * sizeof(float),
-                             node);
-    }
     SEESAW_ASSIGN_OR_RETURN(std::unique_ptr<VectorStore> child,
                             factory(std::move(part)));
     if (child == nullptr || child->size() != rows || child->dim() != d) {
       return Status::InvalidArgument(
           "ShardedStore: child factory returned a store of the wrong shape");
     }
-    if (place) {
-      // Buffers the child built itself (the int8 quantized copy) came from
-      // the factory's thread, not the bound partition — rebind them. Only
-      // ExactStore children are known here; custom factories that allocate
-      // their own side tables handle placement themselves.
-      if (auto* exact = dynamic_cast<ExactStore*>(child.get())) {
-        exact->BindStorageToNode(node);
-      }
-    }
     shards.push_back(std::move(child));
     row += rows;
     begin[s + 1] = static_cast<uint32_t>(row);
   }
-  return ShardedStore(std::move(shards), std::move(begin), d,
-                      std::move(shard_nodes), place);
+  return ShardedStore(std::move(shards), std::move(begin), d);
 }
 
 std::pair<size_t, size_t> ShardedStore::PartitionRange(size_t n,
@@ -126,37 +96,7 @@ StatusOr<ShardedStore> ShardedStore::CreateFromChildren(
     begin[s + 1] =
         begin[s] + static_cast<uint32_t>(children[s]->size());
   }
-  std::vector<size_t> shard_nodes(children.size(), 0);
-  return ShardedStore(std::move(children), std::move(begin), d,
-                      std::move(shard_nodes), /*numa_placed=*/false);
-}
-
-void ShardedStore::DispatchShards(
-    ThreadPool* pool, const std::function<void(size_t)>& scan_shard) const {
-  const size_t num_shards = shards_.size();
-  if (pool == nullptr || pool->num_threads() <= 1 || num_shards <= 1) {
-    for (size_t s = 0; s < num_shards; ++s) scan_shard(s);
-    return;
-  }
-  if (numa_placed_ && pool->numa_affinity()) {
-    // One hinted task per shard, so shard s runs (preferentially) on a
-    // worker pinned to the node holding shard s's pages. Waiting handle by
-    // handle keeps the ParallelFor contract: this thread helps drain the
-    // queue while it waits, so nested fan-out cannot deadlock, and all
-    // shards are complete when we return.
-    std::vector<TaskHandle> handles;
-    handles.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      handles.push_back(
-          pool->SubmitWithResult([&scan_shard, s] { scan_shard(s); },
-                                 shard_nodes_[s]));
-    }
-    for (TaskHandle& handle : handles) handle.Wait();
-    return;
-  }
-  pool->ParallelFor(num_shards, [&](size_t b, size_t e) {
-    for (size_t s = b; s < e; ++s) scan_shard(s);
-  });
+  return ShardedStore(std::move(children), std::move(begin), d);
 }
 
 std::pair<size_t, uint32_t> ShardedStore::Locate(uint32_t global_id) const {
@@ -173,46 +113,6 @@ linalg::VecSpan ShardedStore::GetVector(uint32_t id) const {
   return shards_[s]->GetVector(local);
 }
 
-std::vector<SearchResult> ShardedStore::MergeTopK(
-    std::vector<SearchResult> merged, size_t k) {
-  // The global top-k under BetterResult is unique (ids are unique), so
-  // re-selecting from the union of exact per-shard top-ks reproduces the
-  // single-store result exactly.
-  const size_t keep = std::min(k, merged.size());
-  std::partial_sort(merged.begin(), merged.begin() + keep, merged.end(),
-                    BetterResult);
-  merged.resize(keep);
-  return merged;
-}
-
-std::vector<SearchResult> ShardedStore::TopK(linalg::VecSpan query, size_t k,
-                                             const SeenSet& seen,
-                                             const ScanControl& control) const {
-  SEESAW_CHECK_EQ(query.size(), dim_);
-  const size_t num_shards = shards_.size();
-  // Merge state is per-call and lock-free by partitioning: worker s writes
-  // only per_shard[s] (disjoint slots of a pre-sized vector), and the merge
-  // below reads them only after ParallelFor's latch — whose completion is
-  // mutex-published — so there is no concurrent access to annotate. The
-  // store object itself stays const throughout (scans share it freely).
-  std::vector<std::vector<SearchResult>> per_shard(num_shards);
-  auto scan_shard = [&](size_t s) {
-    // Checkpoint before the dispatch (shards not yet started are skipped
-    // outright once the token trips); the child checkpoints inside its own
-    // scalar scan.
-    if (control.ShouldStop()) return;
-    SeenSet local = seen.Slice(begin_[s], begin_[s + 1]);
-    per_shard[s] = shards_[s]->TopK(query, k, local, control);
-    for (SearchResult& hit : per_shard[s]) hit.id += begin_[s];
-  };
-  DispatchShards(pool_, scan_shard);
-  std::vector<SearchResult> merged;
-  for (const auto& hits : per_shard) {
-    merged.insert(merged.end(), hits.begin(), hits.end());
-  }
-  return MergeTopK(std::move(merged), k);
-}
-
 std::vector<std::vector<SearchResult>> ShardedStore::TopKBatch(
     std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
     ThreadPool* pool, const ScanControl& control) const {
@@ -223,9 +123,11 @@ std::vector<std::vector<SearchResult>> ShardedStore::TopKBatch(
 
   const size_t num_shards = shards_.size();
   // per_shard[s][q]: local hits remapped to global ids. A shard skipped by
-  // cancellation leaves its slot empty (size() != num_queries). Same
-  // lock-free-by-partitioning merge state as TopK above: worker s owns slot
-  // s exclusively, readers run strictly after the ParallelFor latch.
+  // cancellation leaves its slot empty (size() != num_queries). Merge state
+  // is per-call and lock-free by partitioning: worker s writes only slot s
+  // of a pre-sized vector, and the merge below reads the slots only after
+  // ParallelFor's latch, whose completion is mutex-published. The store
+  // object itself stays const throughout (scans share it freely).
   std::vector<std::vector<std::vector<SearchResult>>> per_shard(num_shards);
   auto scan_shard = [&](size_t s) {
     // Checkpoint before the dispatch so shards not yet started are skipped
@@ -238,8 +140,17 @@ std::vector<std::vector<SearchResult>> ShardedStore::TopKBatch(
       for (SearchResult& hit : hits) hit.id += offset;
     }
   };
-  DispatchShards(pool, scan_shard);
+  if (pool == nullptr || pool->num_threads() <= 1 || num_shards <= 1) {
+    for (size_t s = 0; s < num_shards; ++s) scan_shard(s);
+  } else {
+    pool->ParallelFor(num_shards, [&](size_t b, size_t e) {
+      for (size_t s = b; s < e; ++s) scan_shard(s);
+    });
+  }
 
+  // The global top-k under BetterResult is unique (ids are unique), so
+  // re-selecting from the union of exact per-shard top-ks reproduces the
+  // single-store result exactly.
   std::vector<std::vector<SearchResult>> out(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
     std::vector<SearchResult> merged;
@@ -248,7 +159,11 @@ std::vector<std::vector<SearchResult>> ShardedStore::TopKBatch(
       const auto& hits = per_shard[s][q];
       merged.insert(merged.end(), hits.begin(), hits.end());
     }
-    out[q] = MergeTopK(std::move(merged), k);
+    const size_t keep = std::min(k, merged.size());
+    std::partial_sort(merged.begin(), merged.begin() + keep, merged.end(),
+                      BetterResult);
+    merged.resize(keep);
+    out[q] = std::move(merged);
   }
   return out;
 }

@@ -1,13 +1,12 @@
 // ShardedStore: partitions the vector table itself across N child
-// VectorStores and serves TopK/TopKBatch by scatter-gather over the shards.
+// VectorStores and serves TopKBatch by scatter-gather over the shards.
 //
 // This is the seam ROADMAP's "lift ExactStore's internal scan shards into
 // separate stores" item asks for: where ExactStore::TopKBatch splits one
 // table's rows across pool workers, ShardedStore splits the *table* into N
-// row-range partitions, each backed by its own child store. Future work pins
-// children to NUMA nodes or remote machines without touching callers; today
-// every child is an in-process ExactStore (or anything a ChildFactory
-// builds).
+// row-range partitions, each backed by its own child store: an in-process
+// ExactStore (or anything a ChildFactory builds), or a RemoteStore talking
+// to a shard server.
 //
 // Correctness contract: results are bitwise identical to a single ExactStore
 // over the whole table, for every shard count. Three properties make that
@@ -62,16 +61,6 @@ struct ShardedOptions {
   /// Scan precision forwarded to the default ExactStore children. Callers
   /// supplying their own ChildFactory configure children themselves.
   ScanPrecision precision = ScanPrecision::kFloat32;
-
-  /// NUMA placement: assign shard s to node s % numa::NodeCount(), bind its
-  /// table pages there (partition buffer before the factory runs; for
-  /// ExactStore children also the quantized copy after), and hint its scan
-  /// tasks at workers pinned to that node when the pool has numa_affinity.
-  /// Placement is an optimization, never semantics: results stay bitwise
-  /// identical to the unplaced store (the hint only moves *where* a shard
-  /// task runs), and on single-node or non-Linux hosts the whole feature
-  /// degrades to a no-op — so this knob is always safe to enable.
-  bool numa_placement = false;
 };
 
 /// Row-range-partitioned store over N child VectorStores.
@@ -108,37 +97,23 @@ class ShardedStore : public VectorStore {
   /// order: child c serves global rows [sum(sizes 0..c-1), +size(c)), so
   /// callers must list them in the same order PartitionRange numbers
   /// shards. All children must share a dimensionality and be non-empty.
-  /// No NUMA placement (children own their memory).
   static StatusOr<ShardedStore> CreateFromChildren(
       std::vector<std::unique_ptr<VectorStore>> children);
 
   size_t size() const override { return begin_.back(); }
   size_t dim() const override { return dim_; }
 
-  /// Scalar lookup: every shard is scanned (on the default pool when one is
-  /// set, serially otherwise) and the per-shard top-ks are merged under the
-  /// canonical order. Exactly equal to a single ExactStore's TopK.
-  /// Cancellation is checkpointed per shard dispatch and propagated into
-  /// each child's scalar scan, mirroring the batched path.
-  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k,
-                                 const SeenSet& seen,
-                                 const ScanControl& control) const override;
-  using VectorStore::TopK;
-
-  /// Batched lookup: fans the shards out on `pool` (each child may shard
-  /// its own scan on the same pool — nested ParallelFor is safe), slicing
-  /// the global seen set per shard and merging per-shard results. `control`
-  /// is propagated to every child and checkpointed per shard.
+  /// Fans the shards out on `pool` (each child may shard its own scan on
+  /// the same pool — nested ParallelFor is safe), slicing the global seen
+  /// set per shard and merging per-shard results under the canonical
+  /// order: exactly equal to a single ExactStore's scan. `control` is
+  /// propagated to every child and checkpointed per shard.
   std::vector<std::vector<SearchResult>> TopKBatch(
       std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
       ThreadPool* pool, const ScanControl& control) const override;
   using VectorStore::TopKBatch;
 
   linalg::VecSpan GetVector(uint32_t id) const override;
-
-  /// Optional worker pool for the scalar TopK fan-out (TopKBatch takes its
-  /// pool per call). The pool must outlive the store. Null = serial shards.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   size_t num_shards() const { return shards_.size(); }
   const VectorStore& shard(size_t s) const { return *shards_[s]; }
@@ -147,47 +122,17 @@ class ShardedStore : public VectorStore {
   /// size()); shard s owns [shard_begin(s), shard_begin(s+1)).
   uint32_t shard_begin(size_t s) const { return begin_[s]; }
 
-  /// The NUMA node shard `s` was assigned (and its scans are hinted at).
-  /// Always 0 when built without numa_placement or on a single-node host.
-  size_t shard_node(size_t s) const { return shard_nodes_[s]; }
-
-  /// Whether placement engaged at Create (numa_placement requested AND the
-  /// host is multi-node). False means the store is byte-for-byte the
-  /// unplaced one.
-  bool numa_placed() const { return numa_placed_; }
-
   /// Global id -> (shard index, shard-local id).
   std::pair<size_t, uint32_t> Locate(uint32_t global_id) const;
 
  private:
   ShardedStore(std::vector<std::unique_ptr<VectorStore>> shards,
-               std::vector<uint32_t> begin, size_t dim,
-               std::vector<size_t> shard_nodes, bool numa_placed)
-      : shards_(std::move(shards)),
-        begin_(std::move(begin)),
-        dim_(dim),
-        shard_nodes_(std::move(shard_nodes)),
-        numa_placed_(numa_placed) {}
-
-  /// Runs `scan_shard` over every shard: serially without a usable pool,
-  /// via ParallelFor on an unplaced pool, and as per-shard node-hinted
-  /// tasks when both this store and the pool are NUMA-aware. All three
-  /// dispatches run the same shard bodies to completion before returning,
-  /// so they are interchangeable for results.
-  void DispatchShards(ThreadPool* pool,
-                      const std::function<void(size_t)>& scan_shard) const;
-
-  /// Concatenates per-shard hits (already remapped to global ids) and keeps
-  /// the best k under the canonical order.
-  static std::vector<SearchResult> MergeTopK(
-      std::vector<SearchResult> merged, size_t k);
+               std::vector<uint32_t> begin, size_t dim)
+      : shards_(std::move(shards)), begin_(std::move(begin)), dim_(dim) {}
 
   std::vector<std::unique_ptr<VectorStore>> shards_;
   std::vector<uint32_t> begin_;  // size num_shards()+1, begin_[0] == 0
   size_t dim_ = 0;
-  std::vector<size_t> shard_nodes_;  // size num_shards(), all 0 if unplaced
-  bool numa_placed_ = false;
-  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace seesaw::store

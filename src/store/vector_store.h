@@ -6,12 +6,11 @@
 // carries more error than the index).
 //
 // Exclusions are expressed as a SeenSet bitset (O(1) branch-predictable test
-// in the innermost scan loop), and every backend serves both single queries
-// (TopK) and query batches (TopKBatch). Batched lookups may shard the work
-// across a ThreadPool and are guaranteed to return exactly what per-query
-// TopK would: all backends select with the same total order (score
-// descending, id ascending on ties), so results are unique and independent
-// of sharding.
+// in the innermost scan loop). Every backend implements exactly one scan,
+// TopKBatch, which may shard the work across a ThreadPool; TopK is a
+// non-virtual batch of one. All backends select with the same total order
+// (score descending, id ascending on ties), so results are unique and
+// independent of batching and sharding.
 #ifndef SEESAW_STORE_VECTOR_STORE_H_
 #define SEESAW_STORE_VECTOR_STORE_H_
 
@@ -19,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -96,12 +96,13 @@ class ScanErrorCollector {
 ///
 /// Backends poll ShouldStop() at natural scan checkpoints — per row block
 /// for the exact scan, per probed inverted list for IVF, per child shard
-/// for ShardedStore, per query for Annoy — so a cancelled speculative
-/// lookup stops mid-TopKBatch instead of running the scan to completion.
-/// A cancelled call returns early with whatever it has accumulated: the
-/// result is safe to destroy but carries no completeness guarantee, so
-/// callers that observe `cancel->cancelled()` must discard it (exactly what
-/// the speculative-prefetch consume path does).
+/// for ShardedStore, per query (before its forest traversal and before its
+/// candidate scoring) for Annoy, per RPC for RemoteStore — so a cancelled
+/// speculative lookup stops mid-TopKBatch instead of running the scan to
+/// completion. A cancelled call returns early with whatever it has
+/// accumulated: the result is safe to destroy but carries no completeness
+/// guarantee, so callers that observe `cancel->cancelled()` must discard it
+/// (exactly what the speculative-prefetch consume path does).
 struct ScanControl {
   /// Cancellation flag polled at every checkpoint; null = not cancellable.
   const CancellationToken* cancel = nullptr;
@@ -136,8 +137,9 @@ struct SearchResult {
 
 /// The canonical result order: higher score first, lower id breaking ties.
 /// Every backend selects and sorts with this order, which makes the exact
-/// top-k of any candidate set unique — the property the TopKBatch == TopK
-/// parity guarantee rests on.
+/// top-k of any candidate set unique — the property the bitwise parity
+/// guarantees (batched vs brute force, sharded vs unsharded, remote vs
+/// local) rest on.
 inline bool BetterResult(const SearchResult& a, const SearchResult& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.id < b.id;
@@ -188,8 +190,8 @@ class TopKHeap {
 
 /// Interface for max-inner-product stores.
 ///
-/// Contract for implementers: every TopK/TopKBatch override must take (and
-/// poll) the ScanControl — it is the only seam through which a cancelled
+/// Contract for implementers: the one scan override, TopKBatch, must take
+/// (and poll) the ScanControl — it is the only seam through which a cancelled
 /// speculation can stop a scan mid-flight. scripts/check_invariants.py
 /// enforces this shape on the overrides in src/store, so dropping the
 /// parameter in a new backend is a lint failure, not a silent regression.
@@ -205,40 +207,21 @@ class VectorStore {
   /// Vector dimensionality.
   virtual size_t dim() const = 0;
 
-  /// Returns up to k results with the largest inner product against `query`,
-  /// best first (see BetterResult), skipping ids marked in `seen`. Fewer
-  /// than k results are returned only when the store (after exclusions) is
-  /// smaller than k or the index exhausts its candidates.
-  ///
-  /// `control` threads cooperative cancellation into the scalar scan, at the
-  /// same checkpoints as the batched path (per row block for the exact scan,
-  /// per probed list for IVF, per shard for ShardedStore). Same contract as
-  /// TopKBatch: a cancelled call returns early with unspecified partial
-  /// results, which the caller must discard.
-  virtual std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k,
-                                         const SeenSet& seen,
-                                         const ScanControl& control) const = 0;
-
-  /// Convenience overloads: no control / no exclusions.
-  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k,
-                                 const SeenSet& seen) const {
-    return TopK(query, k, seen, ScanControl{});
-  }
-  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k) const {
-    return TopK(query, k, EmptySeenSet(), ScanControl{});
-  }
-
-  /// Multi-query lookup: out[i] is exactly TopK(queries[i], k, seen). The
-  /// base implementation is the serial per-query fallback; backends override
-  /// it with batched kernels and, when `pool` is non-null, shard the work
-  /// across it. All sessions of a service share one pool, so implementations
-  /// must only use pool->ParallelFor (safe under concurrent callers).
-  /// `control` threads cooperative cancellation into the scan itself: every
-  /// backend polls control.ShouldStop() at its checkpoints and returns early
-  /// (with unspecified partial results) once cancellation is observed.
+  /// Multi-query lookup, the one scan every backend implements: out[i]
+  /// holds up to k results with the largest inner product against
+  /// queries[i], best first (see BetterResult), skipping ids marked in
+  /// `seen`. Fewer than k results are returned only when the store (after
+  /// exclusions) is smaller than k or the index exhausts its candidates.
+  /// With a non-null `pool`, backends may shard the work across it. All
+  /// sessions of a service share one pool, so implementations must only use
+  /// pool->ParallelFor (safe under concurrent callers). `control` threads
+  /// cooperative cancellation into the scan itself: every backend polls
+  /// control.ShouldStop() at its checkpoints and returns early (with
+  /// unspecified partial results, which the caller must discard) once
+  /// cancellation is observed.
   virtual std::vector<std::vector<SearchResult>> TopKBatch(
       std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
-      ThreadPool* pool, const ScanControl& control) const;
+      ThreadPool* pool, const ScanControl& control) const = 0;
 
   /// Convenience overloads: no control / no pool / no exclusions.
   std::vector<std::vector<SearchResult>> TopKBatch(
@@ -254,6 +237,27 @@ class VectorStore {
   std::vector<std::vector<SearchResult>> TopKBatch(
       std::span<const linalg::VecSpan> queries, size_t k) const {
     return TopKBatch(queries, k, EmptySeenSet(), nullptr, ScanControl{});
+  }
+
+  /// Single-query lookup: a batch of one, scanned on the calling thread.
+  /// Empty when the scan failed or was cancelled before it started.
+  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k,
+                                 const SeenSet& seen,
+                                 const ScanControl& control) const {
+    std::vector<std::vector<SearchResult>> out =
+        TopKBatch(std::span<const linalg::VecSpan>(&query, 1), k, seen,
+                  nullptr, control);
+    if (out.empty()) return {};
+    return std::move(out.front());
+  }
+
+  /// Convenience overloads: no control / no exclusions.
+  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k,
+                                 const SeenSet& seen) const {
+    return TopK(query, k, seen, ScanControl{});
+  }
+  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k) const {
+    return TopK(query, k, EmptySeenSet(), ScanControl{});
   }
 
   /// Read access to vector `id`.

@@ -10,13 +10,12 @@
 //      CLIP-like tables (test_util::ClusteredTable), plus a per-element
 //      quantize -> dequantize round-trip error bound.
 //
-// The compacted unseen-run scan policy (ExactStoreOptions::
-// compact_seen_fraction) is proven bitwise identical to the per-row
-// skip-test scan here too, including cancellation checkpoint counts.
+// At the store level, the blocked int8 scan is bitwise equal to the
+// brute-force int8 oracle (test_util::BruteForceTopK) across seen densities,
+// serial and pooled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -39,12 +38,12 @@ namespace {
 
 using store::ExactStore;
 using store::ExactStoreOptions;
-using store::ScanControl;
 using store::ScanPrecision;
 using store::SeenSet;
 using store::ShardedOptions;
 using store::ShardedStore;
 using test_util::AsSpans;
+using test_util::BruteForceTopK;
 using test_util::ClusteredTable;
 using test_util::ExpectIdenticalResults;
 using test_util::RandomQueries;
@@ -331,9 +330,9 @@ TEST_F(QuantizedKernelTest, RecallGateVsFp32OnClusteredData) {
 }
 
 TEST_F(QuantizedKernelTest, Int8StoreParityAcrossForcedKernels) {
-  // The acceptance criterion at the store level: a forced-scalar int8 scan
-  // is bitwise equal to the SIMD int8 scan on every supported kernel, for
-  // both the scalar TopK and the batched TopKBatch paths.
+  // The acceptance criterion at the store level: the int8 scan under every
+  // supported kernel, forced scalar included, is bitwise equal to the
+  // brute-force int8 oracle, for single queries and batches alike.
   const size_t n = 523, dim = 48;
   MatrixF table = ClusteredTable(n, dim, 16, 63);
   ExactStoreOptions options;
@@ -345,28 +344,29 @@ TEST_F(QuantizedKernelTest, Int8StoreParityAcrossForcedKernels) {
   SeenSet seen = RandomSeenSet(n, 0.3, 65);
 
   ASSERT_TRUE(ForceKernels("scalar"));
-  std::vector<std::vector<store::SearchResult>> want_scalar;
-  for (const VectorF& q : queries) want_scalar.push_back(store->TopK(q, 37, seen));
-  auto want_batch = store->TopKBatch(std::span<const VecSpan>(spans), 37, seen);
+  std::vector<std::vector<store::SearchResult>> want;
+  for (const VectorF& q : queries) {
+    want.push_back(BruteForceTopK(table, q, 37, seen, ScanPrecision::kInt8));
+  }
 
   for (const std::string& name : SupportedKernels()) {
     ASSERT_TRUE(ForceKernels(name));
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      ExpectIdenticalResults(store->TopK(queries[qi], 37, seen),
-                             want_scalar[qi]);
+      ExpectIdenticalResults(store->TopK(queries[qi], 37, seen), want[qi]);
     }
     auto got_batch =
         store->TopKBatch(std::span<const VecSpan>(spans), 37, seen);
-    ASSERT_EQ(got_batch.size(), want_batch.size());
-    for (size_t qi = 0; qi < want_batch.size(); ++qi) {
-      ExpectIdenticalResults(got_batch[qi], want_batch[qi]);
+    ASSERT_EQ(got_batch.size(), want.size());
+    for (size_t qi = 0; qi < want.size(); ++qi) {
+      ExpectIdenticalResults(got_batch[qi], want[qi]);
     }
   }
 }
 
-TEST_F(QuantizedKernelTest, ScalarTopKMatchesBatchedInt8Scan) {
-  // Within the int8 family, the scalar lookup and the blocked batch scan
-  // compute the same fixed-order arithmetic — bitwise equal results.
+TEST_F(QuantizedKernelTest, BatchedInt8ScanMatchesBruteForce) {
+  // Within the int8 family, the blocked batch scan computes the oracle's
+  // fixed-order arithmetic — bitwise equal results at every seen density,
+  // serial and pooled.
   const size_t n = 311, dim = 32;
   MatrixF table = ClusteredTable(n, dim, 8, 67);
   ExactStoreOptions options;
@@ -375,67 +375,28 @@ TEST_F(QuantizedKernelTest, ScalarTopKMatchesBatchedInt8Scan) {
   ASSERT_TRUE(store.ok());
   auto queries = RandomQueries(4, dim, 68);
   auto spans = AsSpans(queries);
-  for (double fraction : {0.0, 0.4, 0.9}) {
-    SeenSet seen = RandomSeenSet(n, fraction, 69);
-    auto batched =
-        store->TopKBatch(std::span<const VecSpan>(spans), 25, seen);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      ExpectIdenticalResults(store->TopK(queries[qi], 25, seen), batched[qi]);
-    }
-  }
-}
-
-TEST_F(QuantizedKernelTest, CompactedScanPolicyIsBitwiseIdentical) {
-  // The seen-aware scan policy: enumerating run-length compacted unseen
-  // intervals must reproduce the per-row skip-test scan exactly — same
-  // results bit for bit, same number of cancellation checkpoints — for both
-  // precisions, serial and pooled, across seen densities.
-  const size_t n = 700, dim = 24;
-  MatrixF table = RandomTable(n, dim, 71);
-  auto queries = RandomQueries(3, dim, 72);
-  auto spans = AsSpans(queries);
   ThreadPool pool(3);
-  for (ScanPrecision precision :
-       {ScanPrecision::kFloat32, ScanPrecision::kInt8}) {
-    ExactStoreOptions always, never;
-    always.precision = precision;
-    always.compact_seen_fraction = 0.0;  // every scan compacts
-    never.precision = precision;
-    never.compact_seen_fraction = 2.0;  // no scan compacts
-    auto compact_store = ExactStore::Create(table, always);
-    auto skip_store = ExactStore::Create(table, never);
-    ASSERT_TRUE(compact_store.ok());
-    ASSERT_TRUE(skip_store.ok());
-    for (double fraction : {0.0, 0.3, 0.7, 0.97, 1.0}) {
-      SeenSet seen = RandomSeenSet(n, fraction, 73);
-      std::atomic<size_t> compact_checkpoints{0}, skip_checkpoints{0};
-      ScanControl compact_control, skip_control;
-      compact_control.checkpoint = [&] { ++compact_checkpoints; };
-      skip_control.checkpoint = [&] { ++skip_checkpoints; };
-      auto want = skip_store->TopKBatch(std::span<const VecSpan>(spans), 19,
-                                        seen, /*pool=*/nullptr, skip_control);
-      auto got =
-          compact_store->TopKBatch(std::span<const VecSpan>(spans), 19, seen,
-                                   /*pool=*/nullptr, compact_control);
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t qi = 0; qi < want.size(); ++qi) {
-        ExpectIdenticalResults(got[qi], want[qi]);
-      }
-      EXPECT_EQ(compact_checkpoints.load(), skip_checkpoints.load())
-          << "fraction=" << fraction;
-      // Pooled runs shard the row range but must still match.
-      auto pooled = compact_store->TopKBatch(std::span<const VecSpan>(spans),
-                                             19, seen, &pool);
-      for (size_t qi = 0; qi < want.size(); ++qi) {
-        ExpectIdenticalResults(pooled[qi], want[qi]);
-      }
+  for (double fraction : {0.0, 0.4, 0.9, 0.97, 1.0}) {
+    SeenSet seen = RandomSeenSet(n, fraction, 69);
+    auto serial =
+        store->TopKBatch(std::span<const VecSpan>(spans), 25, seen);
+    auto pooled =
+        store->TopKBatch(std::span<const VecSpan>(spans), 25, seen, &pool);
+    ASSERT_EQ(serial.size(), queries.size());
+    ASSERT_EQ(pooled.size(), queries.size());
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      auto want =
+          BruteForceTopK(table, queries[qi], 25, seen, ScanPrecision::kInt8);
+      ExpectIdenticalResults(serial[qi], want);
+      ExpectIdenticalResults(pooled[qi], want);
     }
   }
 }
 
 TEST_F(QuantizedKernelTest, Fp32PathIsUnchangedByDefaultOptions) {
-  // Options default to fp32 + the 0.5 compaction threshold; a default
-  // store must return exactly what the historical fp32 scan returned.
+  // Options default to fp32; a default store must return exactly what the
+  // brute-force fp32 scan (linalg::Dot) returns, here at a high seen
+  // density.
   const size_t n = 257, dim = 16;
   MatrixF table = RandomTable(n, dim, 79);
   auto store = ExactStore::Create(table);
@@ -443,16 +404,10 @@ TEST_F(QuantizedKernelTest, Fp32PathIsUnchangedByDefaultOptions) {
   EXPECT_EQ(store->options().precision, ScanPrecision::kFloat32);
   EXPECT_TRUE(store->quantized().empty());
   auto queries = RandomQueries(2, dim, 80);
-  SeenSet seen = RandomSeenSet(n, 0.8, 81);  // above threshold: compacts
+  SeenSet seen = RandomSeenSet(n, 0.8, 81);
   for (const VectorF& q : queries) {
-    auto got = store->TopK(q, 11, seen);
-    // Reference: brute-force fp32 scan with linalg::Dot.
-    store::TopKHeap heap(11);
-    for (size_t i = 0; i < n; ++i) {
-      if (seen.Test(static_cast<uint32_t>(i))) continue;
-      heap.Push(static_cast<uint32_t>(i), Dot(table.Row(i), q));
-    }
-    ExpectIdenticalResults(got, heap.TakeSorted());
+    ExpectIdenticalResults(store->TopK(q, 11, seen),
+                           BruteForceTopK(table, q, 11, seen));
   }
 }
 

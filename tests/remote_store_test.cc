@@ -5,7 +5,9 @@
 // surfacing as a typed collector error, stale-duplicate replies skipped,
 // backoff monotonicity with the jitter envelope, and cancellation that
 // abandons an in-flight socket wait. Fault tests run on a virtual clock
-// (tests/fault_socket.h): no sleeps, no wall-clock races.
+// (tests/fault_socket.h): no sleeps, no wall-clock races. The store-frame
+// boundary tests feed hostile or retired frames to StoreFrameService and a
+// live shard server.
 #include "net/remote_store.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <semaphore>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -25,6 +28,8 @@
 #include "core/session_manager.h"
 #include "data/profiles.h"
 #include "net/server.h"
+#include "net/store_service.h"
+#include "net/transport.h"
 #include "store/exact_store.h"
 #include "store/sharded_store.h"
 #include "tests/fault_socket.h"
@@ -562,8 +567,8 @@ TEST(RemoteStoreSockets, TwoShardServersBitwiseParity) {
   for (size_t j = 0; j < kDim; ++j) EXPECT_EQ(row[j], table.Row(kRows - 1)[j]);
 }
 
-/// Wraps a store so TopK parks on a semaphore until the test releases it —
-/// holds a real server handler mid-scan deterministically.
+/// Wraps a store so its scan parks on a semaphore until the test releases
+/// it — holds a real server handler mid-scan deterministically.
 class BlockingStore : public VectorStore {
  public:
   explicit BlockingStore(const VectorStore& inner) : inner_(&inner) {}
@@ -571,20 +576,20 @@ class BlockingStore : public VectorStore {
   size_t size() const override { return inner_->size(); }
   size_t dim() const override { return inner_->dim(); }
 
-  std::vector<SearchResult> TopK(linalg::VecSpan query, size_t k,
-                                 const SeenSet& seen,
-                                 const ScanControl& control) const override {
+  std::vector<std::vector<SearchResult>> TopKBatch(
+      std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
+      ThreadPool* pool, const ScanControl& control) const override {
     entered_.release();
     release_.acquire();
     release_.release();  // stay open: only the first scan parks
-    return inner_->TopK(query, k, seen, control);
+    return inner_->TopKBatch(queries, k, seen, pool, control);
   }
 
   linalg::VecSpan GetVector(uint32_t id) const override {
     return inner_->GetVector(id);
   }
 
-  /// Blocks until a scan has parked inside TopK.
+  /// Blocks until a scan has parked inside TopKBatch.
   void AwaitEntered() const { entered_.acquire(); }
   /// Lets the parked scan (and all future ones) proceed.
   void Release() const { release_.release(); }
@@ -639,6 +644,119 @@ TEST(RemoteStoreSockets, CancellationAbandonsInFlightSocketWait) {
   EXPECT_LT(waited, 30.0);
 
   blocking.Release();  // let the parked handler finish before teardown
+}
+
+// ------------------------------------------------- store frame boundary --
+
+/// One kStoreTopKBatch request frame for `query` with a peer-chosen k.
+std::string TopKBatchFrame(uint64_t request_id, const linalg::VectorF& query,
+                           uint32_t k) {
+  net::StoreTopKBatchRequest req;
+  req.queries.push_back(query);
+  req.k = k;
+  return net::EncodeFrame(net::FrameType::kStoreTopKBatch, request_id,
+                          net::EncodeStoreTopKBatchRequest(req));
+}
+
+/// Answers `frame` through StoreFrameService::HandleFrame.
+std::pair<net::FrameHeader, std::string> HandleInProcess(
+    const net::StoreFrameService& service, const std::string& frame) {
+  net::FrameHeader header;
+  SEESAW_CHECK(net::DecodeHeader(frame, &header));
+  std::string reply = service.HandleFrame(
+      header, std::string_view(frame).substr(net::kHeaderBytes));
+  SEESAW_CHECK(net::DecodeHeader(reply, &header));
+  return {header, reply.substr(net::kHeaderBytes)};
+}
+
+/// Sends `frame` on `transport` and reads the reply.
+std::pair<net::FrameHeader, std::string> RoundTripOverWire(
+    net::Transport& transport, const std::string& frame) {
+  net::FrameHeader header;
+  std::string payload;
+  SEESAW_CHECK(transport.Send(frame).ok());
+  Status read = transport.ReadFrame(&header, &payload, 1u << 20,
+                                    /*deadline_seconds=*/30.0, nullptr);
+  SEESAW_CHECK(read.ok()) << read.ToString();
+  return {header, payload};
+}
+
+// k arrives from the peer and sizes the scan's result heaps: k = 2^32 - 1
+// must not become a multi-gigabyte reservation that throws on a handler
+// task and terminates the shard server. The service clamps k to the store
+// size, which by definition returns the same results: the whole table,
+// sorted — in process (serial and pooled) and over a live server's socket,
+// whose connection keeps serving afterwards.
+TEST(StoreFrameBoundary, HugeKIsClampedToTheStoreSize) {
+  linalg::MatrixF table = test_util::RandomTable(50, 8, /*seed=*/51);
+  auto exact = MakeExact(table, ScanPrecision::kFloat32);
+  auto queries = test_util::RandomQueries(1, 8, /*seed=*/52);
+  const std::string frame = TopKBatchFrame(61, queries[0], 0xFFFFFFFFu);
+  const auto want = test_util::BruteForceTopK(table, queries[0], table.rows(),
+                                              store::EmptySeenSet());
+  auto expect_full_table = [&](const net::FrameHeader& header,
+                               const std::string& payload) {
+    EXPECT_EQ(header.type, net::FrameType::kStoreTopKBatchReply);
+    EXPECT_EQ(header.request_id, 61u);
+    net::StoreTopKBatchReply reply;
+    ASSERT_TRUE(net::DecodeStoreTopKBatchReply(payload, &reply));
+    ASSERT_EQ(reply.results.size(), 1u);
+    test_util::ExpectIdenticalResults(reply.results[0], want);
+  };
+
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    auto [header, payload] =
+        HandleInProcess(net::StoreFrameService(*exact, p), frame);
+    expect_full_table(header, payload);
+  }
+
+  StoreServerFixture server(*exact);
+  auto transport = net::TcpTransport::Connect("127.0.0.1", server.server.port());
+  ASSERT_TRUE(transport.ok()) << transport.status().ToString();
+  for (int round = 0; round < 2; ++round) {
+    auto [header, payload] = RoundTripOverWire(**transport, frame);
+    expect_full_table(header, payload);
+  }
+}
+
+// kStoreTopK (type 8) is retired: a batch of one is a kStoreTopKBatch. The
+// number stays reserved, and a peer that still sends it gets a typed
+// kUnknownType error, in process and from a live server, whose connection
+// stays open.
+TEST(StoreFrameBoundary, RetiredStoreTopKIsUnknownType) {
+  linalg::MatrixF table = test_util::RandomTable(30, 8, /*seed=*/55);
+  auto exact = MakeExact(table, ScanPrecision::kFloat32);
+  auto queries = test_util::RandomQueries(1, 8, /*seed=*/56);
+  EXPECT_EQ(static_cast<uint16_t>(net::FrameType::kStoreTopK), 8);
+  // The payload is irrelevant: the type alone is refused.
+  const std::string body = TopKBatchFrame(1, queries[0], 5).substr(
+      net::kHeaderBytes);
+  const std::string retired =
+      net::EncodeFrame(net::FrameType::kStoreTopK, 81, body);
+  auto expect_unknown_type = [](const net::FrameHeader& header,
+                                const std::string& payload) {
+    EXPECT_EQ(header.type, net::FrameType::kError);
+    EXPECT_EQ(header.request_id, 81u);
+    net::ErrorReply error;
+    ASSERT_TRUE(net::DecodeErrorReply(payload, &error));
+    EXPECT_EQ(error.code, net::WireError::kUnknownType);
+  };
+
+  auto [header, payload] =
+      HandleInProcess(net::StoreFrameService(*exact, nullptr), retired);
+  expect_unknown_type(header, payload);
+
+  StoreServerFixture server(*exact);
+  auto transport = net::TcpTransport::Connect("127.0.0.1", server.server.port());
+  ASSERT_TRUE(transport.ok()) << transport.status().ToString();
+  auto [wire_header, wire_payload] = RoundTripOverWire(**transport, retired);
+  expect_unknown_type(wire_header, wire_payload);
+  // The connection survived: the next store frame is answered on it.
+  auto [info_header, info_payload] = RoundTripOverWire(
+      **transport, net::EncodeFrame(net::FrameType::kStoreInfo, 82, ""));
+  EXPECT_EQ(info_header.type, net::FrameType::kStoreInfoReply);
+  EXPECT_EQ(info_header.request_id, 82u);
 }
 
 }  // namespace

@@ -144,53 +144,6 @@ TEST(SeenSetTest, ExclusionHonoredByStoreScan) {
   EXPECT_EQ(store->TopK(q, 1, seen)[0].id, 11u);
 }
 
-TEST(SeenSetTest, AppendUnseenRunsMatchesPerIdEnumeration) {
-  // The run-length compacted enumeration must produce exactly the blocks a
-  // per-id skip-test loop produces: maximal unseen runs chopped at max_run.
-  Rng rng(17);
-  for (size_t capacity : {0u, 1u, 63u, 64u, 65u, 200u, 1000u}) {
-    for (double fraction : {0.0, 0.1, 0.5, 0.9, 1.0}) {
-      SeenSet seen = test_util::RandomSeenSet(capacity, fraction, 18);
-      for (uint32_t max_run : {1u, 7u, 32u, 100u}) {
-        // Windows inside, straddling, and past capacity (ids past capacity
-        // read unseen, same as Test()).
-        const uint32_t window_end = static_cast<uint32_t>(capacity) + 70;
-        for (uint32_t begin :
-             {uint32_t{0}, static_cast<uint32_t>(capacity / 3),
-              static_cast<uint32_t>(capacity)}) {
-          std::vector<std::pair<uint32_t, uint32_t>> got;
-          seen.AppendUnseenRuns(begin, window_end, max_run, &got);
-          // Reference: the skip-test loop from the batched exact scan.
-          std::vector<std::pair<uint32_t, uint32_t>> want;
-          uint32_t r = begin;
-          while (r < window_end) {
-            if (seen.Test(r)) {
-              ++r;
-              continue;
-            }
-            uint32_t run_end = r + 1;
-            while (run_end < window_end && run_end - r < max_run &&
-                   !seen.Test(run_end)) {
-              ++run_end;
-            }
-            want.emplace_back(r, run_end);
-            r = run_end;
-          }
-          ASSERT_EQ(got, want) << "capacity=" << capacity
-                               << " fraction=" << fraction
-                               << " max_run=" << max_run << " begin=" << begin;
-        }
-      }
-    }
-  }
-  // Appends (does not clear) so shards can reuse one buffer.
-  SeenSet empty(8);
-  std::vector<std::pair<uint32_t, uint32_t>> runs = {{99, 100}};
-  empty.AppendUnseenRuns(0, 8, 32, &runs);
-  ASSERT_EQ(runs.size(), 2u);
-  EXPECT_EQ(runs[1], (std::pair<uint32_t, uint32_t>{0, 8}));
-}
-
 TEST(SeenSetTest, FewerThanKWhenExclusionsShrinkTheStore) {
   auto store = ExactStore::Create(RandomTable(10, 4, 6));
   ASSERT_TRUE(store.ok());

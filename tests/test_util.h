@@ -1,8 +1,8 @@
 // Shared fixture builders for the test suites: random embedding-like
-// tables, query sets, seen sets, the embedded-dataset fixture, and the
-// deterministic scripted user driving interaction-loop tests — the builders
-// that used to be duplicated across store_test, topk_batch_test, and
-// prefetch_test. Header-only; every test binary links the full library.
+// tables, query sets, seen sets, the brute-force top-k oracle, the
+// embedded-dataset fixture, and the deterministic scripted user driving
+// interaction-loop tests. Header-only; every test binary links the full
+// library.
 #ifndef SEESAW_TESTS_TEST_UTIL_H_
 #define SEESAW_TESTS_TEST_UTIL_H_
 
@@ -21,6 +21,8 @@
 #include "core/searcher_base.h"
 #include "data/profiles.h"
 #include "linalg/matrix.h"
+#include "linalg/quantize.h"
+#include "linalg/simd.h"
 #include "linalg/vector_ops.h"
 #include "store/seen_set.h"
 #include "store/vector_store.h"
@@ -103,6 +105,42 @@ inline void ExpectIdenticalResults(
     EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
     EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
   }
+}
+
+/// The exact-scan oracle: scores every unseen row of `table` against
+/// `query` one at a time and keeps the best k under BetterResult. fp32
+/// scores are linalg::Dot; int8 scores follow the int8 family's spec
+/// (QuantizeQuery, dot_i32, then one multiply by row_scale * query_scale).
+/// Deliberately naive — a full sort, no heaps, blocks, shards or batching —
+/// so the optimized scans are checked bitwise against an independent
+/// computation rather than against themselves.
+inline std::vector<store::SearchResult> BruteForceTopK(
+    const linalg::MatrixF& table, linalg::VecSpan query, size_t k,
+    const store::SeenSet& seen,
+    store::ScanPrecision precision = store::ScanPrecision::kFloat32) {
+  std::vector<store::SearchResult> all;
+  if (precision == store::ScanPrecision::kInt8) {
+    const linalg::QuantizedTable rows = linalg::QuantizeRows(table);
+    const linalg::QuantizedVector q = linalg::QuantizeQuery(query);
+    const linalg::Int8KernelTable& kernels = linalg::ActiveInt8Kernels();
+    for (size_t i = 0; i < table.rows(); ++i) {
+      const uint32_t id = static_cast<uint32_t>(i);
+      if (seen.Test(id)) continue;
+      const int32_t acc = kernels.dot_i32(rows.Row(i), q.data.data(),
+                                          table.cols());
+      const float combined = rows.scale(i) * q.scale;
+      all.push_back({id, static_cast<float>(acc) * combined});
+    }
+  } else {
+    for (size_t i = 0; i < table.rows(); ++i) {
+      const uint32_t id = static_cast<uint32_t>(i);
+      if (seen.Test(id)) continue;
+      all.push_back({id, linalg::Dot(table.Row(i), query)});
+    }
+  }
+  std::sort(all.begin(), all.end(), store::BetterResult);
+  if (all.size() > k) all.resize(k);
+  return all;
 }
 
 /// A small generated dataset embedded with the given store backend — the

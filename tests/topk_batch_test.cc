@@ -1,9 +1,12 @@
-// Cross-backend parity for the batched query engine: TopKBatch must return
-// exactly what per-query TopK returns — same ids, same scores, same order —
-// on every backend, with and without exclusions, serial and pooled.
+// Cross-backend parity for the batched query engine, with and without
+// exclusions, serial and pooled: the exact scan must return exactly what the
+// brute-force oracle (test_util::BruteForceTopK) returns — same ids, same
+// score bits, same order — and the approximate indexes must answer a batch
+// exactly as they answer each query alone (a batch of one).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -20,21 +23,43 @@ namespace {
 using linalg::MatrixF;
 using linalg::VecSpan;
 using linalg::VectorF;
+using test_util::BruteForceTopK;
 using test_util::ExpectIdenticalResults;
 using test_util::RandomQueries;
 using test_util::RandomTable;
 
-/// Asserts TopKBatch == per-query TopK for every query, with `pool` possibly
-/// null and `seen` possibly empty.
+/// The expected answer for one query.
+using Oracle = std::function<std::vector<SearchResult>(VecSpan query)>;
+
+/// Asserts TopKBatch over the whole query set returns want(query) for every
+/// query, with `pool` possibly null and `seen` possibly empty.
 void CheckParity(const VectorStore& store, const std::vector<VectorF>& queries,
-                 size_t k, const SeenSet& seen, ThreadPool* pool) {
+                 size_t k, const SeenSet& seen, ThreadPool* pool,
+                 const Oracle& want) {
   std::vector<VecSpan> spans = test_util::AsSpans(queries);
   auto batched =
       store.TopKBatch(std::span<const VecSpan>(spans), k, seen, pool);
   ASSERT_EQ(batched.size(), queries.size());
   for (size_t q = 0; q < spans.size(); ++q) {
-    ExpectIdenticalResults(batched[q], store.TopK(spans[q], k, seen));
+    ExpectIdenticalResults(batched[q], want(spans[q]));
   }
+}
+
+/// CheckParity against the brute-force scan of `table`.
+void CheckExact(const VectorStore& store, const MatrixF& table,
+                const std::vector<VectorF>& queries, size_t k,
+                const SeenSet& seen, ThreadPool* pool) {
+  CheckParity(store, queries, k, seen, pool, [&](VecSpan q) {
+    return BruteForceTopK(table, q, k, seen);
+  });
+}
+
+/// CheckParity against the store's own batch of one.
+void CheckBatchOfOne(const VectorStore& store,
+                     const std::vector<VectorF>& queries, size_t k,
+                     const SeenSet& seen, ThreadPool* pool) {
+  CheckParity(store, queries, k, seen, pool,
+              [&](VecSpan q) { return store.TopK(q, k, seen); });
 }
 
 class TopKBatchParityTest : public ::testing::Test {
@@ -50,64 +75,42 @@ class TopKBatchParityTest : public ::testing::Test {
   SeenSet seen_;
 };
 
-TEST_F(TopKBatchParityTest, ExactStoreMatchesScalarPath) {
+TEST_F(TopKBatchParityTest, ExactStoreMatchesBruteForce) {
   auto store = ExactStore::Create(table_);
   ASSERT_TRUE(store.ok());
   ThreadPool pool(4);
   for (size_t k : {1u, 10u, 50u, 1000u}) {
-    CheckParity(*store, queries_, k, EmptySeenSet(), nullptr);
-    CheckParity(*store, queries_, k, seen_, nullptr);
-    CheckParity(*store, queries_, k, seen_, &pool);
+    CheckExact(*store, table_, queries_, k, EmptySeenSet(), nullptr);
+    CheckExact(*store, table_, queries_, k, seen_, nullptr);
+    CheckExact(*store, table_, queries_, k, seen_, &pool);
+    // The single-query wrapper is the same scan.
+    for (const VectorF& q : queries_) {
+      ExpectIdenticalResults(store->TopK(q, k, seen_),
+                             BruteForceTopK(table_, q, k, seen_));
+    }
   }
 }
 
-TEST_F(TopKBatchParityTest, IvfIndexMatchesScalarPath) {
+TEST_F(TopKBatchParityTest, IvfIndexMatchesBatchOfOne) {
   auto store = IvfFlatIndex::Build({}, table_);
   ASSERT_TRUE(store.ok());
   ThreadPool pool(4);
   for (size_t k : {1u, 10u, 50u}) {
-    CheckParity(*store, queries_, k, EmptySeenSet(), nullptr);
-    CheckParity(*store, queries_, k, seen_, nullptr);
-    CheckParity(*store, queries_, k, seen_, &pool);
+    CheckBatchOfOne(*store, queries_, k, EmptySeenSet(), nullptr);
+    CheckBatchOfOne(*store, queries_, k, seen_, nullptr);
+    CheckBatchOfOne(*store, queries_, k, seen_, &pool);
   }
 }
 
-TEST_F(TopKBatchParityTest, AnnoyIndexMatchesScalarPath) {
+TEST_F(TopKBatchParityTest, AnnoyIndexMatchesBatchOfOne) {
   auto store = AnnoyIndex::Build({}, table_);
   ASSERT_TRUE(store.ok());
   ThreadPool pool(4);
   for (size_t k : {1u, 10u, 50u}) {
-    CheckParity(*store, queries_, k, EmptySeenSet(), nullptr);
-    CheckParity(*store, queries_, k, seen_, nullptr);
-    CheckParity(*store, queries_, k, seen_, &pool);
+    CheckBatchOfOne(*store, queries_, k, EmptySeenSet(), nullptr);
+    CheckBatchOfOne(*store, queries_, k, seen_, nullptr);
+    CheckBatchOfOne(*store, queries_, k, seen_, &pool);
   }
-}
-
-TEST_F(TopKBatchParityTest, BaseClassSerialFallbackMatches) {
-  // Exercise the VectorStore default implementation via a thin subclass that
-  // only implements the scalar virtuals.
-  class Minimal : public VectorStore {
-   public:
-    explicit Minimal(ExactStore inner) : inner_(std::move(inner)) {}
-    size_t size() const override { return inner_.size(); }
-    size_t dim() const override { return inner_.dim(); }
-    std::vector<SearchResult> TopK(VecSpan query, size_t k,
-                                   const SeenSet& seen,
-                                   const ScanControl& control) const override {
-      return inner_.TopK(query, k, seen, control);
-    }
-    using VectorStore::TopK;
-    VecSpan GetVector(uint32_t id) const override {
-      return inner_.GetVector(id);
-    }
-
-   private:
-    ExactStore inner_;
-  };
-  auto store = ExactStore::Create(table_);
-  ASSERT_TRUE(store.ok());
-  Minimal minimal(std::move(*store));
-  CheckParity(minimal, queries_, 25, seen_, nullptr);
 }
 
 TEST(TopKBatchTest, EmptyQueryBatchReturnsEmpty) {

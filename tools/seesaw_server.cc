@@ -12,7 +12,7 @@
 // slice of a deterministic vector table — rows [first, first+count) per
 // ShardedStore::PartitionRange(store_rows, num_shards, shard_index) over
 // DeterministicTable(store_rows, dim, store_seed) — and answers the store
-// frames (kStoreInfo/TopK/TopKBatch/GetVector), so N of these processes
+// frames (kStoreInfo/TopKBatch/GetVector), so N of these processes
 // are the peers a ShardedStore over RemoteStore children fans out to.
 // remote_parity_gate rebuilds the same table from the same flags and gates
 // bitwise parity against a single local store.
