@@ -14,7 +14,7 @@
 // to the prefetch-off one — speculation must never change results.
 //
 //   ./bench_prefetch_latency [--scale=0.3] [--dim=64] [--batch=8]
-//                            [--think_ms=20] [--threads=0] [--shards=4]
+//                            [--think_ms=20] [--threads=0]
 //                            [--csv] [--json]
 //
 // With --csv, one
@@ -46,7 +46,6 @@ struct PrefetchArgs {
   size_t batch = 8;
   double think_ms = 20.0;
   size_t threads = 0;  // 0 = hardware default
-  size_t shards = 4;   // sharded-backend row
   bool csv = false;
   bool json = false;
 
@@ -63,7 +62,6 @@ struct PrefetchArgs {
       if (std::strncmp(a, "--threads=", 10) == 0) {
         args.threads = std::atoi(a + 10);
       }
-      if (std::strncmp(a, "--shards=", 9) == 0) args.shards = std::atoi(a + 9);
       if (std::strcmp(a, "--csv") == 0) args.csv = true;
       if (std::strcmp(a, "--json") == 0) args.json = true;
     }
@@ -156,10 +154,10 @@ int Run(int argc, char** argv) {
   zero.update_query = false;
   const std::vector<Variant> variants = {{"zero-shot", zero},
                                          {"seesaw", core::SeeSawOptions{}}};
-  const core::StoreBackend backends[] = {
-      core::StoreBackend::kExact, core::StoreBackend::kSharded,
-      core::StoreBackend::kIvf, core::StoreBackend::kAnnoy};
-  const char* backend_names[] = {"exact", "sharded", "ivf", "annoy"};
+  const core::StoreBackend backends[] = {core::StoreBackend::kExact,
+                                         core::StoreBackend::kIvf,
+                                         core::StoreBackend::kAnnoy};
+  const char* backend_names[] = {"exact", "ivf", "annoy"};
 
   ThreadPool pool(args.threads == 0 ? ThreadPool::DefaultThreads()
                                     : args.threads);
@@ -171,20 +169,19 @@ int Run(int argc, char** argv) {
   } else if (!args.json) {
     std::printf(
         "Prefetch latency: scale=%.2f dim=%zu batch=%zu think=%.1fms "
-        "threads=%zu shards=%zu concepts=%zu\n",
+        "threads=%zu concepts=%zu\n",
         args.scale, args.dim, args.batch, args.think_ms, pool.num_threads(),
-        args.shards, concepts.size());
+        concepts.size());
     std::printf("%-8s %-10s %-9s %9s %10s %22s %14s\n", "backend", "variant",
                 "prefetch", "hit_rate", "post_refit",
                 "perceived_nextbatch_ms", "total_wait_ms");
   }
 
-  for (size_t b = 0; b < 4; ++b) {
+  for (size_t b = 0; b < std::size(backends); ++b) {
     core::PreprocessOptions pre;
     pre.multiscale.enabled = false;
     pre.build_md = false;
     pre.backend = backends[b];
-    pre.sharded.num_shards = args.shards;
     auto embedded = core::EmbeddedDataset::Build(*ds, pre);
     SEESAW_CHECK(embedded.ok()) << embedded.status().ToString();
 

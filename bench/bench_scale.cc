@@ -4,11 +4,10 @@
 // the open question for this reproduction was whether the exact scan stays
 // interactive at millions of rows. This bench answers it with committed
 // numbers (BENCH_scale.json via scripts/run_scale_suite.sh): batched TopK
-// latency percentiles over {fp32, int8} x store sizes x shard counts.
+// latency percentiles over {fp32, int8} x store sizes.
 //
 //   ./bench_scale [--sizes=1M,4M] [--dim=128] [--k=100] [--batch=8]
-//                 [--warmup=1] [--iters=5] [--threads=0] [--shards=0,8]
-//                 [--min-shard-rows=4096] [--centers=64]
+//                 [--warmup=1] [--iters=5] [--threads=0] [--centers=64]
 //                 [--min-recall=0.99] [--tmpdir=/tmp] [--json]
 //
 // Size tokens accept K/M suffixes (1M = 1000000). For each size the table
@@ -28,7 +27,7 @@
 // itself evidence both contracts held at scale.
 //
 // Output rows (one JSON object per line under --json, table otherwise):
-//   kind=scan:   per (n, precision, shards) batched-scan latency stats —
+//   kind=scan:   per (n, precision) batched-scan latency stats —
 //                mean/p50/p95/p99 ms, rows/s, GB/s, qps, recall_at_k and
 //                speedup_vs_fp32_p50 on int8 rows.
 #include <cinttypes>
@@ -48,7 +47,6 @@
 #include "linalg/simd.h"
 #include "linalg/vector_ops.h"
 #include "store/exact_store.h"
-#include "store/sharded_store.h"
 
 namespace seesaw::bench {
 namespace {
@@ -61,34 +59,20 @@ struct ScaleArgs {
   int warmup = 1;
   int iters = 5;
   size_t threads = 0;
-  std::vector<size_t> shards = {0};  // 0 = unsharded ExactStore
-  size_t min_shard_rows = 4096;
   size_t centers = 0;  // 0 = auto: 64 rows per cluster, min 64 centers
   double min_recall = 0.99;
   std::string tmpdir = "/tmp";
   bool json = false;
 
-  /// "1M" -> 1000000, "250K" -> 250000, plain integers pass through.
-  static size_t ParseSizeToken(const char* p, const char** end) {
-    char* num_end = nullptr;
-    size_t value = std::strtoul(p, &num_end, 10);
-    if (*num_end == 'M' || *num_end == 'm') {
-      value *= 1000000;
-      ++num_end;
-    } else if (*num_end == 'K' || *num_end == 'k') {
-      value *= 1000;
-      ++num_end;
-    }
-    *end = num_end;
-    return value;
-  }
-
-  static std::vector<size_t> ParseList(const char* p, bool size_tokens) {
+  /// "1M,250K,5000" -> {1000000, 250000, 5000}: K/M suffixes scale by
+  /// 10^3/10^6, plain integers pass through.
+  static std::vector<size_t> ParseSizeList(const char* p) {
     std::vector<size_t> out;
     while (*p != '\0') {
-      const char* end = p;
-      size_t value = size_tokens ? ParseSizeToken(p, &end)
-                                 : std::strtoul(p, const_cast<char**>(&end), 10);
+      char* end = nullptr;
+      size_t value = std::strtoul(p, &end, 10);
+      if (*end == 'M' || *end == 'm') value *= 1000000;
+      if (*end == 'K' || *end == 'k') value *= 1000;
       if (end != p) out.push_back(value);
       p = std::strchr(end, ',');
       if (p == nullptr) break;
@@ -102,7 +86,7 @@ struct ScaleArgs {
     for (int i = 1; i < argc; ++i) {
       const char* a = argv[i];
       if (std::strncmp(a, "--sizes=", 8) == 0) {
-        args.sizes = ParseList(a + 8, /*size_tokens=*/true);
+        args.sizes = ParseSizeList(a + 8);
         if (args.sizes.empty()) {
           std::fprintf(stderr,
                        "bench_scale: --sizes needs tokens like 1M,4M,16M\n");
@@ -116,13 +100,6 @@ struct ScaleArgs {
       if (std::strncmp(a, "--iters=", 8) == 0) args.iters = std::atoi(a + 8);
       if (std::strncmp(a, "--threads=", 10) == 0) {
         args.threads = std::atoi(a + 10);
-      }
-      if (std::strncmp(a, "--shards=", 9) == 0) {
-        args.shards = ParseList(a + 9, /*size_tokens=*/false);
-        if (args.shards.empty()) args.shards = {0};
-      }
-      if (std::strncmp(a, "--min-shard-rows=", 17) == 0) {
-        args.min_shard_rows = std::strtoul(a + 17, nullptr, 10);
       }
       if (std::strncmp(a, "--centers=", 10) == 0) {
         args.centers = std::strtoul(a + 10, nullptr, 10);
@@ -193,15 +170,6 @@ linalg::MatrixF LoadTableFile(const std::string& path, size_t n, size_t dim) {
   return table;
 }
 
-bool SameResults(const std::vector<store::SearchResult>& a,
-                 const std::vector<store::SearchResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].id != b[i].id || a[i].score != b[i].score) return false;
-  }
-  return true;
-}
-
 /// Within-family gate: forced-scalar int8 ScoreBlock must be bitwise equal
 /// to the active SIMD int8 kernel over a sampled block of the *actual*
 /// quantized table this bench scans.
@@ -268,9 +236,9 @@ int Run(int argc, char** argv) {
                 "iters=%d kernel=%s\n",
                 args.dim, args.k, args.batch, pool.num_threads(), args.iters,
                 linalg::ActiveKernels().name);
-    std::printf("%-9s %-8s %6s %6s %10s %10s %10s %10s %12s %9s %8s\n", "n",
-                "prec", "shards", "req", "mean_ms", "p50_ms", "p95_ms",
-                "p99_ms", "rows/s", "GB/s", "recall");
+    std::printf("%-9s %-8s %10s %10s %10s %10s %12s %9s %8s\n", "n",
+                "prec", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "rows/s",
+                "GB/s", "recall");
   }
 
   for (size_t n : args.sizes) {
@@ -291,7 +259,7 @@ int Run(int argc, char** argv) {
     std::remove(path.c_str());
 
     // CLIP-like queries: norm-0.3 perturbations of stored rows (cosine
-    // ~0.96 to the source), fixed across every precision and shard count so
+    // ~0.96 to the source), fixed across both precisions so
     // latencies and recall are comparable.
     Rng qrng(92);
     const float qsigma = NoiseSigma(0.3, args.dim);
@@ -312,8 +280,8 @@ int Run(int argc, char** argv) {
     std::vector<std::vector<store::SearchResult>> truth;
     for (const auto& q : spans) truth.push_back(fp32->TopK(q, args.k));
 
-    // int8 reference store (used for the recall gate, kernel parity gate,
-    // and the unsharded int8 rows).
+    // int8 store (used for the recall gate, kernel parity gate, and the
+    // int8 rows).
     store::ExactStoreOptions int8_options;
     int8_options.precision = store::ScanPrecision::kInt8;
     auto int8 = store::ExactStore::Create(table, int8_options);
@@ -341,66 +309,35 @@ int Run(int argc, char** argv) {
       CheckInt8KernelParity(int8->quantized(), qdata, qscales, args.batch);
     }
 
-    // --- scan rows: precision x shard count. ---
-    double fp32_p50_by_shards[64] = {};  // indexed by position in args.shards
+    // --- scan rows: one per precision. ---
+    double fp32_p50 = 0;
     for (int prec = 0; prec < 2; ++prec) {
       const bool is_int8 = prec == 1;
       const size_t bytes_per_row = is_int8 ? args.dim : args.dim * 4;
-      for (size_t si = 0; si < args.shards.size(); ++si) {
-        const size_t requested = args.shards[si];
-        const store::VectorStore* scan_store = nullptr;
-        std::unique_ptr<store::ShardedStore> sharded;
-        size_t effective = 0;
-        if (requested == 0) {
-          scan_store = is_int8 ? &*int8 : &*fp32;
-        } else {
-          store::ShardedOptions sharded_options;
-          sharded_options.num_shards = requested;
-          sharded_options.min_rows_per_shard = args.min_shard_rows;
-          sharded_options.precision = is_int8
-                                          ? store::ScanPrecision::kInt8
-                                          : store::ScanPrecision::kFloat32;
-          auto created = store::ShardedStore::Create(table, sharded_options);
-          SEESAW_CHECK(created.ok());
-          sharded =
-              std::make_unique<store::ShardedStore>(std::move(*created));
-          effective = sharded->num_shards();
-          scan_store = sharded.get();
-          // Sharding must not change results: spot-check against the
-          // unsharded store of the same precision.
-          const store::VectorStore& reference =
-              is_int8 ? static_cast<const store::VectorStore&>(*int8) : *fp32;
-          SEESAW_CHECK(SameResults(sharded->TopK(spans[0], args.k),
-                                   reference.TopK(spans[0], args.k)))
-              << "sharded scan diverged at n=" << n;
-        }
-        Measurement m = MeasureScan(*scan_store, spans, n, bytes_per_row,
-                                    args, no_seen, &pool);
-        double speedup = 0;
-        if (!is_int8 && si < 64) fp32_p50_by_shards[si] = m.stats.p50_ms;
-        if (is_int8 && si < 64 && m.stats.p50_ms > 0) {
-          speedup = fp32_p50_by_shards[si] / m.stats.p50_ms;
-        }
-        if (args.json) {
-          std::printf(
-              "{\"kind\":\"scan\",\"n\":%zu,\"dim\":%zu,\"k\":%zu,"
-              "\"batch\":%zu,\"precision\":\"%s\",\"shards\":%zu,"
-              "\"requested_shards\":%zu,\"mean_ms\":%.3f,\"p50_ms\":%.3f,"
-              "\"p95_ms\":%.3f,\"p99_ms\":%.3f,\"rows_per_sec\":%.0f,"
-              "\"gb_per_sec\":%.3f,\"qps\":%.2f,\"recall_at_k\":%.5f,"
-              "\"speedup_vs_fp32_p50\":%.3f}\n",
-              n, args.dim, args.k, args.batch, is_int8 ? "int8" : "float32",
-              effective, requested, m.stats.mean_ms, m.stats.p50_ms,
-              m.stats.p95_ms, m.stats.p99_ms, m.rows_per_sec, m.gb_per_sec,
-              m.qps, is_int8 ? recall : 1.0, speedup);
-        } else {
-          std::printf("%-9zu %-8s %6zu %6zu %10.2f %10.2f %10.2f %10.2f "
-                      "%12.0f %9.2f %8.4f\n",
-                      n, is_int8 ? "int8" : "float32", effective, requested,
-                      m.stats.mean_ms, m.stats.p50_ms, m.stats.p95_ms,
-                      m.stats.p99_ms, m.rows_per_sec, m.gb_per_sec,
-                      is_int8 ? recall : 1.0);
-        }
+      const store::VectorStore& scan_store =
+          is_int8 ? static_cast<const store::VectorStore&>(*int8) : *fp32;
+      Measurement m = MeasureScan(scan_store, spans, n, bytes_per_row, args,
+                                  no_seen, &pool);
+      double speedup = 0;
+      if (!is_int8) fp32_p50 = m.stats.p50_ms;
+      if (is_int8 && m.stats.p50_ms > 0) speedup = fp32_p50 / m.stats.p50_ms;
+      if (args.json) {
+        std::printf(
+            "{\"kind\":\"scan\",\"n\":%zu,\"dim\":%zu,\"k\":%zu,"
+            "\"batch\":%zu,\"precision\":\"%s\",\"mean_ms\":%.3f,"
+            "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,"
+            "\"rows_per_sec\":%.0f,\"gb_per_sec\":%.3f,\"qps\":%.2f,"
+            "\"recall_at_k\":%.5f,\"speedup_vs_fp32_p50\":%.3f}\n",
+            n, args.dim, args.k, args.batch, is_int8 ? "int8" : "float32",
+            m.stats.mean_ms, m.stats.p50_ms, m.stats.p95_ms, m.stats.p99_ms,
+            m.rows_per_sec, m.gb_per_sec, m.qps, is_int8 ? recall : 1.0,
+            speedup);
+      } else {
+        std::printf("%-9zu %-8s %10.2f %10.2f %10.2f %10.2f %12.0f %9.2f "
+                    "%8.4f\n",
+                    n, is_int8 ? "int8" : "float32", m.stats.mean_ms,
+                    m.stats.p50_ms, m.stats.p95_ms, m.stats.p99_ms,
+                    m.rows_per_sec, m.gb_per_sec, is_int8 ? recall : 1.0);
       }
     }
   }

@@ -9,33 +9,22 @@
 //
 //   ./bench_topk_latency [--n=20000] [--dim=128] [--k=100] [--warmup=1]
 //                        [--iters=5] [--threads=0] [--seen=0.1]
-//                        [--batches=1,4,8,16] [--shards=1,2,4,8]
-//                        [--min-shard-rows=4096] [--csv] [--json]
+//                        [--batches=1,4,8,16] [--csv] [--json]
 //
 // Every (backend, batch) cell also verifies batched == scalar results, so
-// the bench doubles as a parity check at scale. --shards adds one
-// "sharded" backend row per shard count (a ShardedStore over the same
-// table, verified bitwise against the exact store before timing), recording
-// the shard-scaling curve. Requested shard counts pass through the
-// min_rows_per_shard floor (--min-shard-rows, default 4096): small tables
-// fall back to fewer shards, because below a few thousand rows per shard
-// the fixed per-shard costs make sharding a slowdown — rows record both the
-// requested and the effective count. Timing rows report the historical
-// means plus p50/p95/p99 over the timed iterations (tail latency is what
-// the interactive loop actually exposes to the user).
+// the bench doubles as a parity check at scale. Timing rows report the
+// historical means plus p50/p95/p99 over the timed iterations (tail latency
+// is what the interactive loop actually exposes to the user).
 //
 // With --csv, one
-//   backend,shards,requested_shards,batch_size,scalar_ms,batched_ms,
-//   speedup,batched_qps,scalar_p50_ms,batched_p50_ms,batched_p95_ms,
-//   batched_p99_ms
-// row per cell goes to stdout (after a header; shards is 0 for the
-// unsharded backends) and the table is skipped. With --json, each cell is
-// one JSON object per line (no header), which
+//   backend,batch_size,scalar_ms,batched_ms,speedup,batched_qps,
+//   scalar_p50_ms,batched_p50_ms,batched_p95_ms,batched_p99_ms
+// row per cell goes to stdout (after a header) and the table is skipped.
+// With --json, each cell is one JSON object per line (no header), which
 // scripts/run_bench_suite.sh --json merges across store sizes into
 // BENCH_topk.json.
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,7 +36,6 @@
 #include "store/annoy_index.h"
 #include "store/exact_store.h"
 #include "store/ivf_index.h"
-#include "store/sharded_store.h"
 
 namespace seesaw::bench {
 namespace {
@@ -61,8 +49,6 @@ struct LatencyArgs {
   size_t threads = 0;  // 0 = hardware default
   double seen_fraction = 0.1;
   std::vector<size_t> batches = {1, 4, 8, 16};
-  std::vector<size_t> shards;  // empty = no sharded rows
-  size_t min_shard_rows = 4096;  // rows-per-shard floor (auto-fallback)
   bool csv = false;
   bool json = false;
 
@@ -95,24 +81,6 @@ struct LatencyArgs {
                                "integers, e.g. --batches=1,4,8\n");
           std::exit(2);
         }
-      }
-      if (std::strncmp(a, "--shards=", 9) == 0) {
-        args.shards.clear();
-        for (const char* p = a + 9; *p != '\0';) {
-          size_t count = std::strtoul(p, nullptr, 10);
-          if (count > 0) args.shards.push_back(count);
-          p = std::strchr(p, ',');
-          if (p == nullptr) break;
-          ++p;
-        }
-        if (args.shards.empty()) {
-          std::fprintf(stderr, "bench_topk_latency: --shards needs positive "
-                               "integers, e.g. --shards=1,2,4,8\n");
-          std::exit(2);
-        }
-      }
-      if (std::strncmp(a, "--min-shard-rows=", 17) == 0) {
-        args.min_shard_rows = std::strtoul(a + 17, nullptr, 10);
       }
       if (std::strcmp(a, "--csv") == 0) args.csv = true;
       if (std::strcmp(a, "--json") == 0) args.json = true;
@@ -231,52 +199,14 @@ int Run(int argc, char** argv) {
   struct Backend {
     const char* name;
     const store::VectorStore* store;
-    size_t shards = 0;            // effective count; 0 = not sharded
-    size_t requested_shards = 0;  // what the flag asked for
   };
-  std::vector<Backend> backends = {
+  const Backend backends[] = {
       {"exact", &*exact}, {"ivf", &*ivf}, {"annoy", &*annoy}};
 
-  // The --shards axis: one ShardedStore per count over the same table,
-  // verified bitwise against the exact store before any timing. The
-  // min_rows_per_shard floor may fall back to fewer effective shards on
-  // small tables; rows record both counts.
-  std::vector<std::unique_ptr<store::ShardedStore>> sharded_stores;
-  for (size_t count : args.shards) {
-    store::ShardedOptions sharded_options;
-    sharded_options.num_shards = count;
-    sharded_options.min_rows_per_shard = args.min_shard_rows;
-    auto sharded = store::ShardedStore::Create(table, sharded_options);
-    SEESAW_CHECK(sharded.ok());
-    // Parity probes draw from their own stream so the measured query
-    // sequence is identical with or without the --shards axis.
-    Rng probe_rng(47);
-    std::vector<linalg::VectorF> probe;
-    for (int i = 0; i < 4; ++i) {
-      linalg::VectorF q(args.dim);
-      for (float& v : q) v = static_cast<float>(probe_rng.Gaussian());
-      linalg::NormalizeInPlace(linalg::MutVecSpan(q.data(), q.size()));
-      probe.push_back(std::move(q));
-    }
-    for (const auto& q : probe) {
-      auto got = sharded->TopK(q, args.k, seen);
-      auto want = exact->TopK(q, args.k, seen);
-      SEESAW_CHECK(SameResults(got, want))
-          << "ShardedStore(" << count << ") diverged from ExactStore";
-    }
-    sharded_stores.push_back(
-        std::make_unique<store::ShardedStore>(std::move(*sharded)));
-    // Record the effective count: Create clamps num_shards to the row
-    // count and the per-shard floor, and the committed baseline must
-    // describe what actually ran.
-    backends.push_back({"sharded", sharded_stores.back().get(),
-                        sharded_stores.back()->num_shards(), count});
-  }
-
   if (args.csv) {
-    std::printf("backend,shards,requested_shards,batch_size,scalar_ms,"
-                "batched_ms,speedup,batched_qps,scalar_p50_ms,"
-                "batched_p50_ms,batched_p95_ms,batched_p99_ms\n");
+    std::printf("backend,batch_size,scalar_ms,batched_ms,speedup,"
+                "batched_qps,scalar_p50_ms,batched_p50_ms,batched_p95_ms,"
+                "batched_p99_ms\n");
   } else if (args.json) {
     // One object per line; the suite script wraps them into a document.
   } else {
@@ -284,9 +214,9 @@ int Run(int argc, char** argv) {
                 "(ms per batch over %d iters)\n",
                 args.n, args.dim, args.k, args.seen_fraction,
                 pool.num_threads(), args.iters);
-    std::printf("%-8s %6s %6s %12s %12s %9s %12s %10s %10s %10s\n", "backend",
-                "shards", "batch", "scalar_ms", "batched_ms", "speedup",
-                "batched_qps", "b_p50", "b_p95", "b_p99");
+    std::printf("%-8s %6s %12s %12s %9s %12s %10s %10s %10s\n", "backend",
+                "batch", "scalar_ms", "batched_ms", "speedup", "batched_qps",
+                "b_p50", "b_p95", "b_p99");
   }
 
   for (const Backend& backend : backends) {
@@ -297,31 +227,28 @@ int Run(int argc, char** argv) {
                        ? static_cast<double>(batch) / (cell.batched_ms / 1e3)
                        : 0.0;
       if (args.csv) {
-        std::printf("%s,%zu,%zu,%zu,%.4f,%.4f,%.3f,%.1f,%.4f,%.4f,%.4f,"
-                    "%.4f\n",
-                    backend.name, backend.shards, backend.requested_shards,
-                    batch, cell.scalar_ms, cell.batched_ms, cell.Speedup(),
-                    qps, cell.scalar.p50_ms, cell.batched.p50_ms,
-                    cell.batched.p95_ms, cell.batched.p99_ms);
+        std::printf("%s,%zu,%.4f,%.4f,%.3f,%.1f,%.4f,%.4f,%.4f,%.4f\n",
+                    backend.name, batch, cell.scalar_ms, cell.batched_ms,
+                    cell.Speedup(), qps, cell.scalar.p50_ms,
+                    cell.batched.p50_ms, cell.batched.p95_ms,
+                    cell.batched.p99_ms);
       } else if (args.json) {
         std::printf("{\"backend\":\"%s\",\"n\":%zu,\"dim\":%zu,"
-                    "\"k\":%zu,\"shards\":%zu,\"requested_shards\":%zu,"
-                    "\"batch\":%zu,"
+                    "\"k\":%zu,\"batch\":%zu,"
                     "\"scalar_ms\":%.4f,\"batched_ms\":%.4f,"
                     "\"speedup\":%.3f,\"batched_qps\":%.1f,"
                     "\"scalar_p50_ms\":%.4f,\"scalar_p95_ms\":%.4f,"
                     "\"scalar_p99_ms\":%.4f,\"batched_p50_ms\":%.4f,"
                     "\"batched_p95_ms\":%.4f,\"batched_p99_ms\":%.4f}\n",
-                    backend.name, args.n, args.dim, args.k, backend.shards,
-                    backend.requested_shards, batch, cell.scalar_ms,
-                    cell.batched_ms, cell.Speedup(), qps, cell.scalar.p50_ms,
-                    cell.scalar.p95_ms, cell.scalar.p99_ms,
-                    cell.batched.p50_ms, cell.batched.p95_ms,
-                    cell.batched.p99_ms);
+                    backend.name, args.n, args.dim, args.k, batch,
+                    cell.scalar_ms, cell.batched_ms, cell.Speedup(), qps,
+                    cell.scalar.p50_ms, cell.scalar.p95_ms,
+                    cell.scalar.p99_ms, cell.batched.p50_ms,
+                    cell.batched.p95_ms, cell.batched.p99_ms);
       } else {
-        std::printf("%-8s %6zu %6zu %12.4f %12.4f %8.2fx %12.1f %10.4f "
+        std::printf("%-8s %6zu %12.4f %12.4f %8.2fx %12.1f %10.4f "
                     "%10.4f %10.4f\n",
-                    backend.name, backend.shards, batch, cell.scalar_ms,
+                    backend.name, batch, cell.scalar_ms,
                     cell.batched_ms, cell.Speedup(), qps, cell.batched.p50_ms,
                     cell.batched.p95_ms, cell.batched.p99_ms);
       }

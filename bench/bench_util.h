@@ -4,10 +4,6 @@
 //   --scale=<double>   dataset scale factor (default 1.0; tests use less)
 //   --dim=<int>        embedding dimension (default 128; paper uses 512)
 //   --batch=<int>      feedback batch size (default 10)
-//   --shards=<int>     back the store with a ShardedStore of N exact
-//                      children (default 0 = single ExactStore); results
-//                      are bitwise identical either way, so this is a pure
-//                      latency axis for the task-runner benches
 // and prints one table/figure of the paper, plus a "paper:" reference line
 // for eyeball comparison. All runs are deterministic.
 #ifndef SEESAW_BENCH_BENCH_UTIL_H_
@@ -73,7 +69,6 @@ struct BenchArgs {
   double scale = 1.0;
   size_t dim = 128;
   size_t batch = 10;
-  size_t shards = 0;  // 0 = unsharded ExactStore backend
   // Loss hyper-parameter overrides (<0 keeps the library default).
   double lambda = -1.0;
   double lambda_text = -1.0;
@@ -89,9 +84,6 @@ struct BenchArgs {
       }
       if (std::strncmp(a, "--batch=", 8) == 0) {
         args.batch = static_cast<size_t>(std::atoi(a + 8));
-      }
-      if (std::strncmp(a, "--shards=", 9) == 0) {
-        args.shards = static_cast<size_t>(std::atoi(a + 9));
       }
       if (std::strncmp(a, "--lambda=", 9) == 0) args.lambda = std::atof(a + 9);
       if (std::strncmp(a, "--ltext=", 8) == 0) {
@@ -134,10 +126,6 @@ inline PreparedDataset Prepare(data::DatasetProfile profile,
   core::PreprocessOptions options;
   options.multiscale.enabled = multiscale;
   options.build_md = build_md;
-  if (args.shards > 0) {
-    options.backend = core::StoreBackend::kSharded;
-    options.sharded.num_shards = args.shards;
-  }
   options.md.k = 10;       // paper §5.2
   options.md.sigma = 0.0;  // adaptive width (see DESIGN.md)
   // Preprocessing shortcut from §4.2 keeps bench runtimes sane; the paper

@@ -9,13 +9,12 @@
 # Usage:
 #   ./scripts/run_bench_suite.sh [--sizes 10k,20k,...] [--warmup N] [--iters N]
 #                                [--dim D] [--k K] [--threads T]
-#                                [--batches 1,4,8,16] [--shards 1,2,4,8]
+#                                [--batches 1,4,8,16]
 #                                [--out results.csv] [--json] [--out-dir DIR]
 #
 # --json writes BENCH_simd.json (bench_simd_kernels: scalar vs dispatched
 # kernel throughput across dims x batches), BENCH_topk.json
-# (bench_topk_latency rows across --sizes, including one "sharded" row per
-# --shards count — the shard-scaling curve), BENCH_prefetch.json
+# (bench_topk_latency rows across --sizes), BENCH_prefetch.json
 # (bench_prefetch_latency: per-backend/variant speculation hit rates —
 # zero-shot and post-refit — plus perceived NextBatch latency, prefetch off
 # vs on, parity-checked), BENCH_serving.json (bench_serving: open-loop TCP
@@ -54,7 +53,6 @@ DIM=128
 K=100
 THREADS=0
 BATCHES="1,4,8,16"
-SHARDS="1,2,4,8"
 OUT=""
 JSON=0
 OUT_DIR="$REPO_ROOT"
@@ -99,7 +97,6 @@ while [[ $# -gt 0 ]]; do
         --k)       K="$2"; shift 2 ;;
         --threads) THREADS="$2"; shift 2 ;;
         --batches) BATCHES="$2"; shift 2 ;;
-        --shards)  SHARDS="$2"; shift 2 ;;
         --out)     OUT="$2"; shift 2 ;;
         --json)    JSON=1; shift ;;
         --out-dir) OUT_DIR="$2"; shift 2 ;;
@@ -124,8 +121,7 @@ emit() {
     for n in "${SIZES[@]}"; do
         echo "== n=$n dim=$DIM k=$K batches=$BATCHES ==" >&2
         "$BENCH" --csv --n="$n" --dim="$DIM" --k="$K" --warmup="$WARMUP" \
-                 --iters="$ITERS" --threads="$THREADS" --batches="$BATCHES" \
-                 --shards="$SHARDS" |
+                 --iters="$ITERS" --threads="$THREADS" --batches="$BATCHES" |
         while IFS= read -r line; do
             if [[ "$line" == backend,* ]]; then
                 if [[ $header_done -eq 0 ]]; then
@@ -164,15 +160,14 @@ emit_json() {
         # silently truncating the committed baseline.
         "$BENCH" --json --n="$n" --dim="$DIM" --k="$K" \
                  --warmup="$WARMUP" --iters="$ITERS" \
-                 --threads="$THREADS" --batches="$BATCHES" \
-                 --shards="$SHARDS" > "$tmp"
+                 --threads="$THREADS" --batches="$BATCHES" > "$tmp"
         while IFS= read -r line; do
             [[ -z "$line" ]] && continue
             rows="${rows:+$rows,}$line"
         done < "$tmp"
     done
-    printf '{"bench":"topk_latency","meta":{"dim":%s,"k":%s,"warmup":%s,"iters":%s,"threads":%s,"batches":"%s","shards":"%s"},"rows":[%s]}\n' \
-        "$DIM" "$K" "$WARMUP" "$ITERS" "$THREADS" "$BATCHES" "$SHARDS" "$rows" \
+    printf '{"bench":"topk_latency","meta":{"dim":%s,"k":%s,"warmup":%s,"iters":%s,"threads":%s,"batches":"%s"},"rows":[%s]}\n' \
+        "$DIM" "$K" "$WARMUP" "$ITERS" "$THREADS" "$BATCHES" "$rows" \
         > "$topk_out"
     echo "topk JSON written to $topk_out" >&2
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # run_scale_suite.sh — million-row scale sweep: bench_scale over --sizes x
-# {float32, int8} x --shards with p50/p95/p99 latencies, wrapped into a
+# {float32, int8} with p50/p95/p99 latencies, wrapped into a
 # machine-readable BENCH_scale.json baseline that future PRs can diff
 # against.
 #
@@ -17,15 +17,13 @@
 # Usage:
 #   ./scripts/run_scale_suite.sh [--sizes 1M,4M,16M] [--dim D] [--k K]
 #                                [--batch B] [--warmup N] [--iters N]
-#                                [--threads T] [--shards 0,8]
-#                                [--min-shard-rows N] [--centers N]
+#                                [--threads T] [--centers N]
 #                                [--min-recall F]
 #                                [--tmpdir DIR] [--out BENCH_scale.json]
 #                                [--gate] [--gate-min-speedup F]
 #                                [--gate-min-rows-per-sec N]
 #
-# --gate additionally asserts (via python3) that every unsharded int8 scan
-# row clears the speedup floor vs fp32 (default 1.5x — the CI smoke floor;
+# --gate additionally asserts (via python3) that every int8 scan row clears the speedup floor vs fp32 (default 1.5x — the CI smoke floor;
 # the committed baseline on a VNNI/AVX2 host shows >2x) and an absolute
 # throughput floor (default 2M rows/s, lax enough for shared CI runners but
 # fatal for a scalar-dispatch or quadratic regression).
@@ -43,8 +41,6 @@ BATCH=8
 WARMUP=1
 ITERS=5
 THREADS=0
-SHARDS="0,8"
-MIN_SHARD_ROWS=4096
 CENTERS=0
 MIN_RECALL=0.99
 TMPDIR_ARG="${TMPDIR:-/tmp}"
@@ -62,8 +58,6 @@ while [[ $# -gt 0 ]]; do
         --warmup)          WARMUP="$2"; shift 2 ;;
         --iters)           ITERS="$2"; shift 2 ;;
         --threads)         THREADS="$2"; shift 2 ;;
-        --shards)          SHARDS="$2"; shift 2 ;;
-        --min-shard-rows)  MIN_SHARD_ROWS="$2"; shift 2 ;;
         --centers)         CENTERS="$2"; shift 2 ;;
         --min-recall)      MIN_RECALL="$2"; shift 2 ;;
         --tmpdir)          TMPDIR_ARG="$2"; shift 2 ;;
@@ -97,10 +91,9 @@ IFS=',' read -r -a size_tokens <<< "$SIZES"
 for size in "${size_tokens[@]}"; do
     size="${size//[[:space:]]/}"
     [[ -z "$size" ]] && continue
-    echo "== bench_scale n=$size dim=$DIM k=$K batch=$BATCH shards=$SHARDS ==" >&2
+    echo "== bench_scale n=$size dim=$DIM k=$K batch=$BATCH ==" >&2
     "$BENCH" --json --sizes="$size" --dim="$DIM" --k="$K" --batch="$BATCH" \
              --warmup="$WARMUP" --iters="$ITERS" --threads="$THREADS" \
-             --shards="$SHARDS" --min-shard-rows="$MIN_SHARD_ROWS" \
              --centers="$CENTERS" --min-recall="$MIN_RECALL" \
              --tmpdir="$TMPDIR_ARG" > "$tmp"
     while IFS= read -r line; do
@@ -109,9 +102,9 @@ for size in "${size_tokens[@]}"; do
     done < "$tmp"
 done
 
-printf '{"bench":"scale","meta":{"sizes":"%s","dim":%s,"k":%s,"batch":%s,"warmup":%s,"iters":%s,"threads":%s,"shards":"%s","min_shard_rows":%s,"min_recall":%s},"rows":[%s]}\n' \
-    "$SIZES" "$DIM" "$K" "$BATCH" "$WARMUP" "$ITERS" "$THREADS" "$SHARDS" \
-    "$MIN_SHARD_ROWS" "$MIN_RECALL" "$rows" > "$OUT"
+printf '{"bench":"scale","meta":{"sizes":"%s","dim":%s,"k":%s,"batch":%s,"warmup":%s,"iters":%s,"threads":%s,"min_recall":%s},"rows":[%s]}\n' \
+    "$SIZES" "$DIM" "$K" "$BATCH" "$WARMUP" "$ITERS" "$THREADS" \
+    "$MIN_RECALL" "$rows" > "$OUT"
 echo "scale JSON written to $OUT" >&2
 
 if [[ "$GATE" == 1 ]]; then
@@ -127,9 +120,8 @@ min_rps = float(os.environ["GATE_MIN_ROWS_PER_SEC"])
 min_recall = float(os.environ["MIN_RECALL"])
 
 scans = [r for r in doc["rows"] if r["kind"] == "scan"]
-int8 = [r for r in scans
-        if r["precision"] == "int8" and r["requested_shards"] == 0]
-assert int8, "no unsharded int8 scan rows in the baseline"
+int8 = [r for r in scans if r["precision"] == "int8"]
+assert int8, "no int8 scan rows in the baseline"
 for r in int8:
     n = r["n"]
     print(f"n={n}: int8 p50={r['p50_ms']:.1f}ms "

@@ -42,18 +42,6 @@ StatusOr<std::unique_ptr<store::VectorStore>> BuildStore(
       out = std::make_unique<store::ExactStore>(std::move(index));
       break;
     }
-    case StoreBackend::kSharded: {
-      SEESAW_ASSIGN_OR_RETURN(
-          store::ShardedStore index,
-          options.sharded_child_factory
-              ? store::ShardedStore::Create(std::move(table_copy),
-                                            options.sharded,
-                                            options.sharded_child_factory)
-              : store::ShardedStore::Create(std::move(table_copy),
-                                            options.sharded));
-      out = std::make_unique<store::ShardedStore>(std::move(index));
-      break;
-    }
   }
   return out;
 }

@@ -17,7 +17,6 @@
 #include "store/annoy_index.h"
 #include "store/exact_store.h"
 #include "store/ivf_index.h"
-#include "store/sharded_store.h"
 
 namespace seesaw::core {
 
@@ -41,7 +40,6 @@ enum class StoreBackend {
   kExact,    ///< brute-force scan (accuracy reference)
   kAnnoy,    ///< RP-tree forest (the paper's store, §2.2)
   kIvf,      ///< FAISS-style inverted file
-  kSharded,  ///< table partitioned across N exact child stores
 };
 
 /// Preprocessing configuration.
@@ -51,21 +49,12 @@ struct PreprocessOptions {
   bool build_md = true;
   graph::MdOptions md;
   /// Index backend and its tuning knobs. Scan precision lives on the
-  /// backend options: `exact.precision` for kExact, `sharded.precision`
-  /// for kSharded (the fp32 master table is retained either way).
+  /// backend options: `exact.precision` for kExact (the fp32 master table
+  /// is retained either way).
   StoreBackend backend = StoreBackend::kExact;
   store::ExactStoreOptions exact;
   store::AnnoyOptions annoy;
   store::IvfOptions ivf;
-  store::ShardedOptions sharded;
-  /// Child builder for the kSharded backend; null = in-process ExactStore
-  /// children. This is how a deployment swaps the sharded scan's children
-  /// for remote stubs (net/remote_store.h) — the factory receives each
-  /// shard's row partition and returns the store that serves it, so the
-  /// serving stack above never learns where shards live. Note the factory
-  /// may ignore the partition matrix entirely (a remote child's rows
-  /// already live on its peer) — the shape check still applies.
-  store::ShardedStore::ChildFactory sharded_child_factory;
   /// Worker threads for embedding (0 = hardware default).
   size_t num_threads = 0;
 };

@@ -172,7 +172,7 @@ class SearcherBase : public Searcher {
   size_t num_seen() const { return seen_images_.count(); }
   bool IsSeen(uint32_t image_idx) const { return seen_images_.Test(image_idx); }
 
-  /// Worker pool for sharded store lookups and speculative prefetch; null
+  /// Worker pool for parallel store scans and speculative prefetch; null
   /// (the default) keeps lookups on the calling thread and disables
   /// speculation. Managed sessions share their SessionManager's pool. The
   /// pool must outlive the searcher.

@@ -44,10 +44,6 @@ struct SessionLimits {
 /// Service configuration: preprocessing plus per-session search options.
 /// `search.prefetch` doubles as the manager-wide speculation policy: its
 /// max_in_flight caps think-time prefetches across all managed sessions.
-/// A sharded store backend is configured here too: set
-/// `preprocess.backend = StoreBackend::kSharded` and
-/// `preprocess.sharded.num_shards`; managed sessions then fan each lookup
-/// out over the shards on the manager's shared pool (session_threads).
 struct ServiceOptions {
   PreprocessOptions preprocess;
   SeeSawOptions search;

@@ -1,6 +1,7 @@
 #include "core/session_manager.h"
 
 #include <chrono>
+#include <cmath>
 
 namespace seesaw::core {
 
@@ -133,6 +134,20 @@ size_t SessionManager::SweepIdle() {
     }
   }
   return doomed.size();
+}
+
+Status SessionManager::CheckFeedback(const ImageFeedback& feedback) const {
+  if (feedback.image_idx >= service_->embedded().num_images()) {
+    return Status::InvalidArgument("feedback image index out of range");
+  }
+  for (const data::Box& box : feedback.boxes) {
+    for (float v : {box.x0, box.y0, box.x1, box.y1}) {
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument("feedback box is not finite");
+      }
+    }
+  }
+  return Status::OK();
 }
 
 Status SessionManager::Close(SessionId id) {

@@ -3,7 +3,7 @@
 // The paper's system serves one interactive user per session; a production
 // deployment serves many at once. The manager owns every live session behind
 // an opaque integer id in a mutex-guarded registry, and all sessions share
-// one ThreadPool for sharded store lookups — so p sessions on a c-core box
+// one ThreadPool for parallel store scans — so p sessions on a c-core box
 // share c workers instead of spawning p*c threads.
 //
 //   SessionManager manager(service);
@@ -183,6 +183,12 @@ class SessionManager {
   /// ResourceExhausted ("busy") when the session is already at
   /// limits.max_inflight_per_session. Refreshes the idle clock.
   StatusOr<SessionLease> Acquire(SessionId id) SEESAW_EXCLUDES(mu_);
+
+  /// Validates client-supplied feedback before it reaches a session:
+  /// InvalidArgument when image_idx is not an image of the service's
+  /// dataset or a box has a non-finite coordinate. Sessions index patch
+  /// tables by image_idx unchecked, so serving front ends call this first.
+  Status CheckFeedback(const ImageFeedback& feedback) const;
 
   /// Refreshes the idle clock without claiming a slot. False when the id is
   /// unknown.

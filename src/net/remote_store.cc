@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -78,6 +79,10 @@ StatusOr<std::unique_ptr<RemoteStore>> RemoteStore::Create(
   net::StoreInfoReply info;
   if (!net::DecodeStoreInfoReply(payload, &info)) {
     return Status::IoError("StoreInfo reply malformed");
+  }
+  // Scan replies carry uint32_t ids, so a larger table is unaddressable.
+  if (info.size > std::numeric_limits<uint32_t>::max() || info.dim == 0) {
+    return Status::InvalidArgument("StoreInfo reply reports an unusable shape");
   }
   store->size_ = info.size;
   store->dim_ = info.dim;
@@ -191,8 +196,15 @@ std::vector<std::vector<SearchResult>> RemoteStore::TopKBatch(
     return {};
   }
   net::StoreTopKBatchReply reply;
-  if (!net::DecodeStoreTopKBatchReply(*payload, &reply) ||
-      reply.results.size() != queries.size()) {
+  bool valid = net::DecodeStoreTopKBatchReply(*payload, &reply) &&
+               reply.results.size() == queries.size();
+  // The merge shifts every id by this shard's offset: an id past size()
+  // would land in another shard's range or past the table.
+  for (const std::vector<SearchResult>& hits : reply.results) {
+    valid = valid && hits.size() <= k;
+    for (const SearchResult& hit : hits) valid = valid && hit.id < size_;
+  }
+  if (!valid) {
     Status bad = Status::IoError("StoreTopKBatch reply malformed");
     last_status_ = bad;
     if (control.errors != nullptr) control.errors->Report(std::move(bad));
@@ -204,12 +216,11 @@ std::vector<std::vector<SearchResult>> RemoteStore::TopKBatch(
 
 linalg::VecSpan RemoteStore::GetVector(uint32_t id) const {
   MutexLock lock(mu_);
-  if (by_id_.size() < size_) by_id_.resize(size_, nullptr);
   if (id >= size_) {
     last_status_ = Status::NotFound("vector id out of range");
     return {};
   }
-  if (by_id_[id] != nullptr) return *by_id_[id];
+  if (auto it = pinned_.find(id); it != pinned_.end()) return it->second;
 
   net::StoreGetVectorRequest req;
   req.id = id;
@@ -227,11 +238,9 @@ linalg::VecSpan RemoteStore::GetVector(uint32_t id) const {
     return {};
   }
   last_status_ = Status::OK();
-  // The deque never relocates settled entries, so the span pinned here
-  // stays valid for the store's lifetime (the cache never evicts).
-  pinned_.push_back(std::move(reply.vector));
-  by_id_[id] = &pinned_.back();
-  return *by_id_[id];
+  // Map nodes never relocate, so the span pinned here stays valid for the
+  // store's lifetime (the cache never evicts).
+  return pinned_.emplace(id, std::move(reply.vector)).first->second;
 }
 
 Status RemoteStore::last_status() const {

@@ -1,14 +1,10 @@
 // store::RemoteStore: a VectorStore whose scans run on a peer machine.
 //
-// The sharded-scan stack (ShardedStore + SeenSet::Slice + canonical-order
-// merge) never cared where a child's rows live; RemoteStore completes that
-// picture by speaking the store frames of net/wire.h to a SeeSawServer in
-// store mode, so a ShardedStore built over RemoteStore children fans one
-// logical scan out across machines. Results cross the wire with float bits
-// intact in the canonical (score desc, id asc) order, which keeps the
-// remote-vs-local bitwise parity contract: a ShardedStore over RemoteStore
-// children returns exactly what the same ShardedStore over local children
-// would.
+// It speaks the store frames of net/wire.h to a SeeSawServer in store mode;
+// a ShardedStore over RemoteStore children fans one logical scan out across
+// machines. Results cross the wire with float bits intact in the canonical
+// (score desc, id asc) order, so that scan returns exactly what one local
+// ExactStore over the whole table would.
 //
 // Production semantics, in order of precedence on each RPC:
 //   - cancellation: ScanControl's token is polled inside the socket wait
@@ -27,16 +23,19 @@
 //     non-ok collector instead of a silent partial. A dead shard can
 //     never hang a scan and never silently thins the result set.
 //
+// Peer replies are checked (Create, TopKBatch), and the GetVector cache
+// grows with the ids fetched, never with the size the peer claims.
+//
 // Lives in src/net (it owns a connection; the CMake DAG has net above
 // store) but in namespace seesaw::store, where its interface belongs.
 #ifndef SEESAW_NET_REMOTE_STORE_H_
 #define SEESAW_NET_REMOTE_STORE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -87,7 +86,8 @@ class RemoteStore : public VectorStore {
 
   /// Seam constructor: any Transport (the fault harness injects scripted
   /// ones). Issues one kStoreInfo RPC to learn the peer's size/dim — after
-  /// that, size() and dim() are local.
+  /// that, size() and dim() are local. InvalidArgument when the peer
+  /// reports dim 0 or more rows than uint32_t ids address.
   static StatusOr<std::unique_ptr<RemoteStore>> Create(
       std::unique_ptr<net::Transport> transport, RemoteStoreOptions options);
 
@@ -96,10 +96,12 @@ class RemoteStore : public VectorStore {
 
   /// One kStoreTopKBatch RPC — the whole batch crosses the wire in a
   /// single frame (the peer parallelizes on its own pool), so `pool` is
-  /// unused here. On failure reports to control.errors (when set) and
-  /// returns {}; on cancellation returns {} without reporting. The empty
-  /// result (a size mismatch with the query count) is skipped by
-  /// ShardedStore's merge exactly like a cancelled shard.
+  /// unused here. On failure — including a reply that does not decode, has
+  /// more than k hits for a query, or names an id >= size() — reports to
+  /// control.errors (when set) and returns {}; on cancellation returns {}
+  /// without reporting. The empty result (a size mismatch with the query
+  /// count) is skipped by ShardedStore's merge exactly like a cancelled
+  /// shard.
   std::vector<std::vector<SearchResult>> TopKBatch(
       std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
       ThreadPool* pool, const ScanControl& control) const override;
@@ -140,9 +142,10 @@ class RemoteStore : public VectorStore {
   mutable Rng backoff_rng_ SEESAW_GUARDED_BY(mu_);
   mutable Status last_status_ SEESAW_GUARDED_BY(mu_);
 
-  /// GetVector cache: deque so grown entries never move (spans stay valid).
-  mutable std::deque<linalg::VectorF> pinned_ SEESAW_GUARDED_BY(mu_);
-  mutable std::vector<const linalg::VectorF*> by_id_ SEESAW_GUARDED_BY(mu_);
+  /// GetVector cache, keyed by the ids actually fetched. Node-based, so a
+  /// cached vector never moves and its span stays valid.
+  mutable std::unordered_map<uint32_t, linalg::VectorF> pinned_
+      SEESAW_GUARDED_BY(mu_);
 
   uint64_t size_;
   uint32_t dim_;

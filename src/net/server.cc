@@ -348,32 +348,6 @@ void SeeSawServer::HandleRequest(const std::shared_ptr<Connection>& conn,
     EnqueueReply(conn, EncodeFrame(reply_type, id, body));
   };
 
-  if (store_service_ != nullptr &&
-      StoreFrameService::IsStoreFrame(header.type)) {
-    std::string frame = store_service_->HandleFrame(header, payload);
-    FrameHeader reply_header;
-    ErrorReply error;
-    const bool is_error = DecodeHeader(frame, &reply_header) &&
-                          reply_header.type == FrameType::kError &&
-                          DecodeErrorReply(
-                              std::string_view(frame).substr(kHeaderBytes),
-                              &error);
-    if (!is_error) {
-      requests_ok_.fetch_add(1, std::memory_order_relaxed);
-      EnqueueReply(conn, std::move(frame));
-      return;
-    }
-    // Same accounting and close-on-malformed policy as the session frames.
-    if (error.code == WireError::kMalformedFrame) {
-      malformed_frames_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      requests_error_.fetch_add(1, std::memory_order_relaxed);
-    }
-    EnqueueReply(conn, std::move(frame),
-                 /*close_after=*/error.code == WireError::kMalformedFrame);
-    return;
-  }
-
   switch (header.type) {
     case FrameType::kPing:
       succeed(FrameType::kPingReply, "");
@@ -429,6 +403,11 @@ void SeeSawServer::HandleRequest(const std::shared_ptr<Connection>& conn,
         fail(WireError::kMalformedFrame, "AddFeedback payload malformed");
         return;
       }
+      Status valid = manager_.CheckFeedback(req.feedback);
+      if (!valid.ok()) {
+        fail(CodeForStatus(valid, WireError::kRetryLater), valid.message());
+        return;
+      }
       StatusOr<core::SessionLease> lease = manager_.Acquire(req.session_id);
       if (!lease.ok()) {
         fail(CodeForStatus(lease.status(), WireError::kRetryLater),
@@ -480,7 +459,17 @@ void SeeSawServer::HandleRequest(const std::shared_ptr<Connection>& conn,
     }
 
     default:
-      fail(WireError::kUnknownType, "unknown frame type");
+      // Store mode answers the store frames, and kUnknownType for the rest.
+      if (store_service_ == nullptr) {
+        fail(WireError::kUnknownType, "unknown frame type");
+        return;
+      }
+      StoreReply reply = store_service_->HandleFrame(header.type, payload);
+      if (reply.type == FrameType::kError) {
+        fail(reply.error, std::move(reply.message));
+      } else {
+        succeed(reply.type, std::move(reply.body));
+      }
       return;
   }
 }

@@ -1,12 +1,11 @@
 // StoreFrameService: the shard-serving request handler, socket-free.
 //
-// Maps one decoded store frame (kStoreInfo / kStoreTopKBatch /
-// kStoreGetVector) to the bytes of its complete reply frame — the matching
-// reply type on success, a typed kError frame otherwise (the retired
-// kStoreTopK included: kUnknownType). SeeSawServer's
-// store mode routes frames here from its handler pool; the fault-injection
-// harness (tests/fault_socket.h) calls it directly with no socket in sight,
-// which is what makes every failure-semantics test deterministic.
+// Maps one store request (kStoreInfo / kStoreTopKBatch / kStoreGetVector)
+// to a typed StoreReply: the reply type and payload, or a wire error (the
+// retired kStoreTopK included: kUnknownType). SeeSawServer's store mode
+// frames it with its own request accounting; the fault-injection harness
+// (tests/fault_socket.h) calls it with no socket in sight, which is what
+// makes every failure-semantics test deterministic.
 //
 // The service only reads the store (stores are immutable after Create and
 // safe for concurrent scans), so HandleFrame is const and safe from any
@@ -23,6 +22,16 @@
 
 namespace seesaw::net {
 
+/// One store request's answer, not yet framed: `type` is the reply frame
+/// type with its encoded payload in `body`, or kError with `error` and
+/// `message` set.
+struct StoreReply {
+  FrameType type = FrameType::kError;
+  std::string body;
+  WireError error = WireError::kNone;
+  std::string message;
+};
+
 class StoreFrameService {
  public:
   /// `store` must outlive the service. `pool` (nullable) parallelizes
@@ -31,15 +40,11 @@ class StoreFrameService {
   StoreFrameService(const store::VectorStore& store, ThreadPool* pool)
       : store_(store), pool_(pool) {}
 
-  /// True for the request frame types this service answers.
-  static bool IsStoreFrame(FrameType type);
-
-  /// Answers one store request frame: returns the encoded reply frame
-  /// (header + payload), echoing header.request_id. Malformed payloads get
-  /// kMalformedFrame, dimension mismatches kInvalidArgument, out-of-range
-  /// GetVector ids kNotFound, non-store frame types kUnknownType.
-  std::string HandleFrame(const FrameHeader& header,
-                          std::string_view payload) const;
+  /// Answers one store request of frame type `type`. Malformed payloads
+  /// get kMalformedFrame, dimension mismatches kInvalidArgument,
+  /// out-of-range GetVector ids kNotFound, non-store frame types
+  /// kUnknownType.
+  StoreReply HandleFrame(FrameType type, std::string_view payload) const;
 
  private:
   const store::VectorStore& store_;

@@ -1,70 +1,13 @@
 #include "store/sharded_store.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "store/exact_store.h"
 
 namespace seesaw::store {
-
-StatusOr<ShardedStore> ShardedStore::Create(linalg::MatrixF vectors,
-                                            const ShardedOptions& options) {
-  ExactStoreOptions child_options;
-  child_options.precision = options.precision;
-  return Create(std::move(vectors), options,
-                [child_options](linalg::MatrixF part)
-                    -> StatusOr<std::unique_ptr<VectorStore>> {
-                  SEESAW_ASSIGN_OR_RETURN(
-                      ExactStore child,
-                      ExactStore::Create(std::move(part), child_options));
-                  return std::unique_ptr<VectorStore>(
-                      std::make_unique<ExactStore>(std::move(child)));
-                });
-}
-
-StatusOr<ShardedStore> ShardedStore::Create(linalg::MatrixF vectors,
-                                            const ShardedOptions& options,
-                                            const ChildFactory& factory) {
-  if (vectors.rows() == 0 || vectors.cols() == 0) {
-    return Status::InvalidArgument("ShardedStore: empty vector table");
-  }
-  if (options.num_shards == 0) {
-    return Status::InvalidArgument("ShardedStore: num_shards must be >= 1");
-  }
-  const size_t n = vectors.rows();
-  const size_t d = vectors.cols();
-  // Near-equal contiguous ranges; clamping keeps every shard non-empty and
-  // at least min_rows_per_shard rows wide (small tables automatically fall
-  // back to fewer shards — see ShardedOptions).
-  const size_t floor_rows = std::max<size_t>(1, options.min_rows_per_shard);
-  const size_t max_shards = std::max<size_t>(1, n / floor_rows);
-  const size_t num_shards = std::min({options.num_shards, n, max_shards});
-  const size_t base = n / num_shards;
-  const size_t extra = n % num_shards;
-
-  std::vector<std::unique_ptr<VectorStore>> shards;
-  std::vector<uint32_t> begin(num_shards + 1, 0);
-  size_t row = 0;
-  for (size_t s = 0; s < num_shards; ++s) {
-    const size_t rows = base + (s < extra ? 1 : 0);
-    linalg::MatrixF part(rows, d);
-    for (size_t r = 0; r < rows; ++r) {
-      auto src = vectors.Row(row + r);
-      std::copy(src.begin(), src.end(), part.MutableRow(r).begin());
-    }
-    SEESAW_ASSIGN_OR_RETURN(std::unique_ptr<VectorStore> child,
-                            factory(std::move(part)));
-    if (child == nullptr || child->size() != rows || child->dim() != d) {
-      return Status::InvalidArgument(
-          "ShardedStore: child factory returned a store of the wrong shape");
-    }
-    shards.push_back(std::move(child));
-    row += rows;
-    begin[s + 1] = static_cast<uint32_t>(row);
-  }
-  return ShardedStore(std::move(shards), std::move(begin), d);
-}
 
 std::pair<size_t, size_t> ShardedStore::PartitionRange(size_t n,
                                                        size_t num_shards,
@@ -83,19 +26,26 @@ StatusOr<ShardedStore> ShardedStore::CreateFromChildren(
   if (children.empty()) {
     return Status::InvalidArgument("ShardedStore: no children");
   }
-  const size_t d = children[0]->dim();
   std::vector<uint32_t> begin(children.size() + 1, 0);
+  uint64_t rows = 0;
   for (size_t s = 0; s < children.size(); ++s) {
     if (children[s] == nullptr || children[s]->size() == 0) {
       return Status::InvalidArgument("ShardedStore: empty child store");
     }
-    if (children[s]->dim() != d) {
+    if (children[s]->dim() != children[0]->dim()) {
       return Status::InvalidArgument(
           "ShardedStore: children disagree on dimensionality");
     }
-    begin[s + 1] =
-        begin[s] + static_cast<uint32_t>(children[s]->size());
+    // Remote children report sizes their peers chose: a sum past the
+    // uint32_t id space would wrap the partition starts.
+    rows += children[s]->size();
+    if (rows > std::numeric_limits<uint32_t>::max()) {
+      return Status::InvalidArgument(
+          "ShardedStore: children hold more rows than uint32_t ids address");
+    }
+    begin[s + 1] = static_cast<uint32_t>(rows);
   }
+  const size_t d = children[0]->dim();
   return ShardedStore(std::move(children), std::move(begin), d);
 }
 

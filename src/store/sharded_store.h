@@ -1,39 +1,28 @@
-// ShardedStore: partitions the vector table itself across N child
-// VectorStores and serves TopKBatch by scatter-gather over the shards.
-//
-// This is the seam ROADMAP's "lift ExactStore's internal scan shards into
-// separate stores" item asks for: where ExactStore::TopKBatch splits one
-// table's rows across pool workers, ShardedStore splits the *table* into N
-// row-range partitions, each backed by its own child store: an in-process
-// ExactStore (or anything a ChildFactory builds), or a RemoteStore talking
-// to a shard server.
+// ShardedStore: the remote fan-out. One logical table is served by N
+// RemoteStore children (net/remote_store.h), each a shard server holding
+// its PartitionRange slice; every scan is scattered to them and merged. An
+// in-process table is one ExactStore, whose TopKBatch already splits rows
+// across pool workers.
 //
 // Correctness contract: results are bitwise identical to a single ExactStore
-// over the whole table, for every shard count. Three properties make that
-// hold:
-//   1. Row-range partitioning copies rows verbatim, so a child's Dot /
-//      ScoreBlock over local row i computes exactly the global kernel over
-//      global row (begin + i) — same bits, same scores.
-//   2. Each child returns its exact local top-k under the canonical
-//      (score desc, id asc) order; the global top-k is a subset of the
-//      union of local top-ks.
-//   3. The merge re-sorts the union under the same total order. Scores tie
-//      bitwise across shards exactly when they tie in a single store, and
-//      global ids are unique, so the selection is the same unique set in
-//      the same order.
+// over the whole table, for every shard count, because
+//   1. each child holds its rows verbatim, so it scores them with exactly
+//      the bits the single store would;
+//   2. each child returns its exact local top-k under the canonical
+//      (score desc, id asc) order, and the global top-k is a subset of the
+//      union of local top-ks;
+//   3. the merge re-sorts the union under the same total order, and global
+//      ids are unique, so the selection is the same set in the same order.
 //
 // Exclusions: the session keeps ONE global SeenSet; each lookup slices the
-// per-shard view out of it (SeenSet::Slice — a word-shift copy, O(rows/64),
-// negligible next to the O(rows * dim) scan it guards).
+// per-shard view out of it (SeenSet::Slice, a word-shift copy).
 //
 // Cancellation: the ScanControl token is propagated to every child, and the
-// store additionally checkpoints before dispatching each shard — a
-// cancelled speculative lookup stops mid-scan inside whichever child block
-// is running and skips the shards not yet started.
+// store checkpoints before dispatching each shard, so a cancelled lookup
+// skips the shards not yet started.
 #ifndef SEESAW_STORE_SHARDED_STORE_H_
 #define SEESAW_STORE_SHARDED_STORE_H_
 
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -43,84 +32,40 @@
 
 namespace seesaw::store {
 
-/// Build knobs for ShardedStore.
-struct ShardedOptions {
-  /// Number of child stores the table is partitioned into. Clamped to the
-  /// row count (a shard always owns at least one row).
-  size_t num_shards = 1;
-
-  /// Floor on rows per shard: the effective shard count is additionally
-  /// clamped so every shard owns at least this many rows. Small tables fall
-  /// back to fewer shards automatically — below a few thousand rows the
-  /// per-shard fixed costs (heap setup, slice, merge) outweigh the scan
-  /// split, and the sharded store would run *slower* than a single exact
-  /// scan. 1 (the default) preserves the historical clamp-to-row-count
-  /// behavior; benchmarks use 4096.
-  size_t min_rows_per_shard = 1;
-
-  /// Scan precision forwarded to the default ExactStore children. Callers
-  /// supplying their own ChildFactory configure children themselves.
-  ScanPrecision precision = ScanPrecision::kFloat32;
-};
-
 /// Row-range-partitioned store over N child VectorStores.
 class ShardedStore : public VectorStore {
  public:
-  /// Builds one child store from its partition of the table (rows are
-  /// copied verbatim, ids are partition-local).
-  using ChildFactory =
-      std::function<StatusOr<std::unique_ptr<VectorStore>>(linalg::MatrixF)>;
-
-  /// Partitions `vectors` into options.num_shards contiguous row ranges of
-  /// near-equal size (the first rows%shards ranges hold one extra row) and
-  /// builds an ExactStore child per range.
-  static StatusOr<ShardedStore> Create(linalg::MatrixF vectors,
-                                       const ShardedOptions& options);
-
-  /// Same partitioning, children built by `factory` (e.g. per-shard IVF).
-  static StatusOr<ShardedStore> Create(linalg::MatrixF vectors,
-                                       const ShardedOptions& options,
-                                       const ChildFactory& factory);
-
   /// The row range [first, first+count) shard `s` of `num_shards` owns over
-  /// an `n`-row table — the exact partition arithmetic Create uses (base =
-  /// n/num_shards rows each, the first n%num_shards shards one extra).
-  /// Exposed so out-of-process children (a shard server slicing its table
-  /// rows, tools building per-shard tables) partition identically to an
-  /// in-process build; the bitwise remote-vs-local parity contract starts
-  /// here.
+  /// an `n`-row table: base = n/num_shards rows each, the first
+  /// n%num_shards shards one extra. Shard servers slice their table rows
+  /// with it, so every deployment partitions identically; the bitwise
+  /// remote-vs-local parity contract starts here.
   static std::pair<size_t, size_t> PartitionRange(size_t n, size_t num_shards,
                                                   size_t s);
 
-  /// Assembles a sharded store from already-built children (e.g.
-  /// RemoteStores connected to shard servers). Children are taken in shard
-  /// order: child c serves global rows [sum(sizes 0..c-1), +size(c)), so
-  /// callers must list them in the same order PartitionRange numbers
-  /// shards. All children must share a dimensionality and be non-empty.
+  /// Assembles a sharded store from already-built children (RemoteStores
+  /// connected to shard servers). Children are taken in shard order: child
+  /// c serves global rows [sum(sizes 0..c-1), +size(c)), so callers must
+  /// list them in the same order PartitionRange numbers shards. All
+  /// children must share a dimensionality and be non-empty, and their
+  /// sizes must sum to a table whose global ids fit in uint32_t
+  /// (InvalidArgument otherwise: the sizes come from peers).
   static StatusOr<ShardedStore> CreateFromChildren(
       std::vector<std::unique_ptr<VectorStore>> children);
 
   size_t size() const override { return begin_.back(); }
   size_t dim() const override { return dim_; }
 
-  /// Fans the shards out on `pool` (each child may shard its own scan on
-  /// the same pool — nested ParallelFor is safe), slicing the global seen
-  /// set per shard and merging per-shard results under the canonical
-  /// order: exactly equal to a single ExactStore's scan. `control` is
-  /// propagated to every child and checkpointed per shard.
+  /// Fans the shards out on `pool` (nested ParallelFor is safe), slicing
+  /// the global seen set per shard and merging per-shard results under the
+  /// canonical order: exactly equal to a single ExactStore's scan.
+  /// `control` is propagated to every child and checkpointed per shard.
   std::vector<std::vector<SearchResult>> TopKBatch(
       std::span<const linalg::VecSpan> queries, size_t k, const SeenSet& seen,
       ThreadPool* pool, const ScanControl& control) const override;
   using VectorStore::TopKBatch;
 
   linalg::VecSpan GetVector(uint32_t id) const override;
-
-  size_t num_shards() const { return shards_.size(); }
-  const VectorStore& shard(size_t s) const { return *shards_[s]; }
-
-  /// First global row id owned by shard `s` (shard_begin(num_shards()) ==
-  /// size()); shard s owns [shard_begin(s), shard_begin(s+1)).
-  uint32_t shard_begin(size_t s) const { return begin_[s]; }
 
   /// Global id -> (shard index, shard-local id).
   std::pair<size_t, uint32_t> Locate(uint32_t global_id) const;
@@ -131,7 +76,7 @@ class ShardedStore : public VectorStore {
       : shards_(std::move(shards)), begin_(std::move(begin)), dim_(dim) {}
 
   std::vector<std::unique_ptr<VectorStore>> shards_;
-  std::vector<uint32_t> begin_;  // size num_shards()+1, begin_[0] == 0
+  std::vector<uint32_t> begin_;  // size shards_.size()+1, begin_[0] == 0
   size_t dim_ = 0;
 };
 

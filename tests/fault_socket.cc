@@ -4,6 +4,18 @@
 
 namespace seesaw::test_util {
 
+std::string EncodeStoreReply(const net::StoreReply& reply,
+                             uint64_t request_id) {
+  if (reply.type != net::FrameType::kError) {
+    return net::EncodeFrame(reply.type, request_id, reply.body);
+  }
+  net::ErrorReply error;
+  error.code = reply.error;
+  error.message = reply.message;
+  return net::EncodeFrame(net::FrameType::kError, request_id,
+                          net::EncodeErrorReply(error));
+}
+
 Status FaultTransport::Send(std::string_view frame) {
   if (!connected_) return Status::IoError("transport is disconnected");
 
@@ -17,20 +29,24 @@ Status FaultTransport::Send(std::string_view frame) {
 
   FaultStep step = Pass();
   if (!script_.empty()) {
-    step = script_.front();
+    step = std::move(script_.front());
     script_.pop_front();
   }
 
   switch (step.kind) {
-    case FaultKind::kRetryLater: {
-      net::ErrorReply shed;
-      shed.code = net::WireError::kRetryLater;
-      shed.message = "scripted shed";
-      inbox_.push_back(net::EncodeFrame(net::FrameType::kError,
-                                        header.request_id,
-                                        net::EncodeErrorReply(shed)));
+    case FaultKind::kRetryLater:
+      inbox_.push_back(EncodeStoreReply({net::FrameType::kError, "",
+                                         net::WireError::kRetryLater,
+                                         "scripted shed"},
+                                        header.request_id));
       break;
-    }
+    case FaultKind::kReply:
+      inbox_.push_back(EncodeStoreReply(
+          {static_cast<net::FrameType>(static_cast<uint16_t>(header.type) |
+                                       net::kReplyBit),
+           std::move(step.body)},
+          header.request_id));
+      break;
     case FaultKind::kTruncate:
     case FaultKind::kDrop:
       // Both kill the connection before a whole reply arrives; kTruncate
@@ -45,21 +61,16 @@ Status FaultTransport::Send(std::string_view frame) {
     case FaultKind::kDelay:
       pending_delay_ = step.seconds;
       [[fallthrough]];
-    case FaultKind::kPass: {
-      std::string reply = service_.HandleFrame(header, payload);
-      inbox_.push_back(std::move(reply));
+    case FaultKind::kPass:
+      inbox_.push_back(EncodeStoreReply(
+          service_.HandleFrame(header.type, payload), header.request_id));
       break;
-    }
     case FaultKind::kDuplicate: {
-      std::string reply = service_.HandleFrame(header, payload);
       // The duplicate is the same reply under the previous request id — a
       // peer that repeated an old answer before the current one.
-      net::FrameHeader reply_header;
-      net::DecodeHeader(reply, &reply_header);
-      inbox_.push_back(net::EncodeFrame(
-          reply_header.type, last_request_id_,
-          std::string_view(reply).substr(net::kHeaderBytes)));
-      inbox_.push_back(std::move(reply));
+      net::StoreReply reply = service_.HandleFrame(header.type, payload);
+      inbox_.push_back(EncodeStoreReply(reply, last_request_id_));
+      inbox_.push_back(EncodeStoreReply(reply, header.request_id));
       break;
     }
   }

@@ -4,8 +4,9 @@
 // are answered in-process by a real local store through the real codecs,
 // but each round trip first consults a fault script that can delay the
 // reply past the deadline, truncate it mid-frame, drop the connection,
-// shed with RETRY_LATER, or deliver a stale duplicate before the real
-// reply. Time is a virtual clock the Delay step advances, and the script
+// shed with RETRY_LATER, deliver a stale duplicate before the real reply,
+// or answer with a scripted payload in place of the real one (a lying
+// peer). Time is a virtual clock the Delay step advances, and the script
 // is a fixed list consumed in order, so every failure-semantics test is
 // exactly reproducible: no real sockets, no wall-clock sleeps, no races.
 //
@@ -53,12 +54,18 @@ enum class FaultKind {
   /// Deliver a stale duplicate (the real reply re-framed under the
   /// previous request id) first, then the real reply — a repeating peer.
   kDuplicate,
+  /// Answer with `body` as the reply payload, under the request's reply
+  /// type, without dispatching the request — a peer that lies about its
+  /// shape or its results.
+  kReply,
 };
 
 struct FaultStep {
   FaultKind kind = FaultKind::kPass;
   /// kDelay only: virtual seconds the reply is late.
   double seconds = 0;
+  /// kReply only: the scripted reply payload.
+  std::string body;
 };
 
 inline FaultStep Pass() { return {FaultKind::kPass}; }
@@ -67,6 +74,14 @@ inline FaultStep Truncate() { return {FaultKind::kTruncate}; }
 inline FaultStep Drop() { return {FaultKind::kDrop}; }
 inline FaultStep Delay(double seconds) { return {FaultKind::kDelay, seconds}; }
 inline FaultStep Duplicate() { return {FaultKind::kDuplicate}; }
+inline FaultStep Reply(std::string body) {
+  return {FaultKind::kReply, 0, std::move(body)};
+}
+
+/// Frames a StoreFrameService reply under `request_id`: the reply frame, or
+/// a kError frame carrying its wire error.
+std::string EncodeStoreReply(const net::StoreReply& reply,
+                             uint64_t request_id);
 
 class FaultTransport : public net::Transport {
  public:

@@ -1,13 +1,15 @@
 // SeeSawServer over loopback TCP: full-session round trips with bitwise
 // parity against an in-process session, typed error replies (NOT_FOUND,
 // QUOTA_EXCEEDED), graceful shedding (RETRY_LATER on busy sessions and on
-// the connection cap), malformed/truncated/hostile frame handling, TTL
+// the connection cap), malformed/truncated/hostile frame handling,
+// out-of-range or non-finite feedback rejected as INVALID_ARGUMENT, TTL
 // eviction visible over the wire, and clean shutdown with clients attached.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -364,6 +366,35 @@ TEST(NetServerTest, MalformedBodyOfValidFrameIsTyped) {
   net::ErrorReply error;
   ASSERT_TRUE(net::DecodeErrorReply(payload, &error));
   EXPECT_EQ(error.code, net::WireError::kMalformedFrame);
+}
+
+// Feedback naming an image past the dataset, or carrying a non-finite box
+// coordinate, is a typed INVALID_ARGUMENT; the connection stays open and
+// the session keeps serving.
+TEST(NetServerTest, OutOfRangeOrNonFiniteFeedbackIsInvalidArgument) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const auto num_images =
+      static_cast<uint32_t>(Fixture().service->embedded().num_images());
+  const core::ImageFeedback bad[] = {
+      {num_images, false, {}},
+      {4000000000u, false, {}},
+      {0, true, {{0.1f, 0.1f, 0.9f, 0.9f}, {0.1f, nan, 0.9f, 0.9f}}},
+      {0, true, {{inf, 0.1f, 0.9f, 0.9f}}},
+      {0, true, {{0.1f, 0.1f, 0.9f, -inf}}}};
+  ServerFixture f;
+  auto client = f.Client();
+  auto id = client.CreateSession("car");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  for (const core::ImageFeedback& feedback : bad) {
+    Status sent = client.AddFeedback(*id, feedback);
+    EXPECT_TRUE(sent.IsInvalidArgument()) << sent.ToString();
+    EXPECT_EQ(client.last_wire_error(), net::WireError::kInvalidArgument);
+  }
+  EXPECT_EQ(f.server.stats().requests_error, std::size(bad));
+  auto batch = client.NextBatch(*id, 5);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->size(), 5u);
 }
 
 TEST(NetServerTest, TtlEvictionIsVisibleOverTheWire) {

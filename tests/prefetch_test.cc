@@ -20,13 +20,9 @@ namespace seesaw::core {
 namespace {
 
 using test_util::ExpectSameImageBatch;
+using test_util::MakeEmbeddedFixture;
 using test_util::RoundScript;
 using test_util::ScriptedUser;
-using Fixture = test_util::EmbeddedFixture;
-
-Fixture MakeFixture(StoreBackend backend) {
-  return test_util::MakeEmbeddedFixture(backend);
-}
 
 SeeSawOptions WithPrefetch(SeeSawOptions options, bool enabled) {
   options.prefetch.enabled = enabled;
@@ -50,9 +46,8 @@ std::vector<Variant> Variants() {
 
 TEST(PrefetchTest, ParityAcrossVariantsAndBackends) {
   for (StoreBackend backend :
-       {StoreBackend::kExact, StoreBackend::kIvf, StoreBackend::kAnnoy,
-        StoreBackend::kSharded}) {
-    auto f = MakeFixture(backend);
+       {StoreBackend::kExact, StoreBackend::kIvf, StoreBackend::kAnnoy}) {
+    auto f = MakeEmbeddedFixture(backend);
     ThreadPool pool(3);
     ScriptedUser user(*f.dataset, /*concept_id=*/0);
     for (const Variant& variant : Variants()) {
@@ -77,7 +72,7 @@ TEST(PrefetchTest, ParityAcrossVariantsAndBackends) {
 TEST(PrefetchTest, ZeroShotConsumesSpeculations) {
   // Zero-shot never moves the query, so labeling exactly the returned batch
   // keeps every speculation valid: all rounds after the first must hit.
-  auto f = MakeFixture(StoreBackend::kExact);
+  auto f = MakeEmbeddedFixture(StoreBackend::kExact);
   ThreadPool pool(3);
   SeeSawOptions zero;
   zero.update_query = false;
@@ -103,7 +98,7 @@ TEST(PrefetchTest, QueryMovingRefitConsumesPredictedSpeculation) {
   // post-refit query, so full-batch rounds now consume — bitwise parity is
   // covered by ParityAcrossVariantsAndBackends and the refit_speculation
   // suite.
-  auto f = MakeFixture(StoreBackend::kExact);
+  auto f = MakeEmbeddedFixture(StoreBackend::kExact);
   ThreadPool pool(3);
   SeeSawSearcher searcher(*f.embedded, f.embedded->TextQuery(0),
                           WithPrefetch(SeeSawOptions{}, true));
@@ -123,7 +118,7 @@ TEST(PrefetchTest, QueryMovingRefitConsumesPredictedSpeculation) {
 TEST(PrefetchTest, DeviatingFeedbackInvalidatesSpeculation) {
   // Feedback on an image outside the returned batch deviates from the
   // prediction; the next batch must still equal the synchronous result.
-  auto f = MakeFixture(StoreBackend::kExact);
+  auto f = MakeEmbeddedFixture(StoreBackend::kExact);
   ThreadPool pool(3);
   SeeSawOptions zero;
   zero.update_query = false;
@@ -151,7 +146,7 @@ TEST(PrefetchTest, RepeatedNextBatchWithoutFeedbackMatchesSyncSemantics) {
   // NextBatch without intervening feedback returns the same images (nothing
   // was marked seen); the speculation predicted a labeled batch and must be
   // discarded, not consumed.
-  auto f = MakeFixture(StoreBackend::kExact);
+  auto f = MakeEmbeddedFixture(StoreBackend::kExact);
   ThreadPool pool(2);
   SeeSawOptions zero;
   zero.update_query = false;
@@ -170,7 +165,7 @@ TEST(PrefetchTest, DestructionDrainsInvalidatedSpeculations) {
   // the pool; destroying the searcher and then the pool must drain it. A
   // leaked task used to submit nested pool work during pool shutdown and
   // trip the Submit-after-shutdown check.
-  auto f = MakeFixture(StoreBackend::kExact);
+  auto f = MakeEmbeddedFixture(StoreBackend::kExact);
   SeeSawOptions zero;
   zero.update_query = false;
   ScriptedUser user(*f.dataset, 0);

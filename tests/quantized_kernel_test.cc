@@ -30,7 +30,6 @@
 #include "linalg/simd.h"
 #include "linalg/vector_ops.h"
 #include "store/exact_store.h"
-#include "store/sharded_store.h"
 #include "tests/test_util.h"
 
 namespace seesaw::linalg {
@@ -40,8 +39,6 @@ using store::ExactStore;
 using store::ExactStoreOptions;
 using store::ScanPrecision;
 using store::SeenSet;
-using store::ShardedOptions;
-using store::ShardedStore;
 using test_util::AsSpans;
 using test_util::BruteForceTopK;
 using test_util::ClusteredTable;

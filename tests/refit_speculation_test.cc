@@ -8,7 +8,7 @@
 // The contract under test: bitwise parity with the non-speculative
 // execution OR clean invalidation, in every interleaving, on every backend,
 // under concurrency. The randomized sweep below drives
-// {kExact, kSharded, kIvf} x label patterns x refit timing and asserts the
+// {kExact, kIvf} x label patterns x refit timing and asserts the
 // speculating searcher's batches equal the baseline's at every round, while
 // the targeted tests pin each divergence class to its stats outcome.
 // Runs in the TSan leg (`concurrency` label) and the forced-scalar kernel
@@ -83,7 +83,6 @@ struct LockstepPair {
 };
 
 constexpr StoreBackend kBackends[] = {StoreBackend::kExact,
-                                      StoreBackend::kSharded,
                                       StoreBackend::kIvf};
 
 TEST(RefitSpeculationTest, FullBatchRoundsConsumeOnEveryBackend) {
@@ -343,7 +342,7 @@ TEST(RefitSpeculationConcurrencyTest, ConcurrentSessionsStayInParity) {
   // Several lockstep pairs share one pool, all speculating through their
   // refits at once; every pair must stay in bitwise parity. Runs under the
   // TSan CI leg via the `concurrency` label.
-  auto f = test_util::MakeEmbeddedFixture(StoreBackend::kSharded);
+  auto f = test_util::MakeEmbeddedFixture(StoreBackend::kExact);
   ThreadPool shared_pool(4);
   const int kSessions = 4, kRounds = 4;
   std::vector<std::unique_ptr<LockstepPair>> pairs;

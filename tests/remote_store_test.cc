@@ -3,11 +3,11 @@
 // fraction, and the full failure-semantics matrix — retry-then-succeed,
 // retries exhausted, deadline expiry (never retried), shard death mid-scan
 // surfacing as a typed collector error, stale-duplicate replies skipped,
-// backoff monotonicity with the jitter envelope, and cancellation that
-// abandons an in-flight socket wait. Fault tests run on a virtual clock
-// (tests/fault_socket.h): no sleeps, no wall-clock races. The store-frame
-// boundary tests feed hostile or retired frames to StoreFrameService and a
-// live shard server.
+// backoff monotonicity with the jitter envelope, cancellation that abandons
+// an in-flight socket wait, and peers that lie about their shape or
+// results. Fault tests run on a virtual clock (tests/fault_socket.h): no
+// sleeps, no wall-clock races. The store-frame boundary tests feed hostile
+// or retired frames to StoreFrameService and a live shard server.
 #include "net/remote_store.h"
 
 #include <gtest/gtest.h>
@@ -38,7 +38,6 @@
 namespace seesaw {
 namespace {
 
-using store::ExactStore;
 using store::RemoteStore;
 using store::RemoteStoreOptions;
 using store::ScanControl;
@@ -54,31 +53,17 @@ using test_util::Duplicate;
 using test_util::FaultStep;
 using test_util::FaultTransport;
 using test_util::Pass;
+using test_util::Reply;
 using test_util::RetryLater;
 using test_util::Truncate;
 
 // ------------------------------------------------------------- fixtures --
 
-/// Copies shard `s`'s PartitionRange rows out of `table` — the same
-/// arithmetic a real shard server applies to its slice of the dataset.
-linalg::MatrixF ShardRows(const linalg::MatrixF& table, size_t num_shards,
-                          size_t s) {
-  auto [first, count] = ShardedStore::PartitionRange(table.rows(), num_shards, s);
-  linalg::MatrixF part(count, table.cols());
-  for (size_t r = 0; r < count; ++r) {
-    auto src = table.Row(first + r);
-    std::copy(src.begin(), src.end(), part.MutableRow(r).begin());
-  }
-  return part;
-}
-
-std::unique_ptr<ExactStore> MakeExact(linalg::MatrixF rows,
-                                      ScanPrecision precision) {
-  store::ExactStoreOptions options;
-  options.precision = precision;
-  auto made = ExactStore::Create(std::move(rows), options);
-  SEESAW_CHECK(made.ok()) << made.status().ToString();
-  return std::make_unique<ExactStore>(std::move(*made));
+/// One local ExactStore over the whole table: the reference every remote
+/// scan is compared against, and the peer of single-store fault tests.
+std::unique_ptr<VectorStore> MakeExact(const linalg::MatrixF& table,
+                                       ScanPrecision precision) {
+  return std::move(test_util::ExactShards(table, 1, precision).front());
 }
 
 /// Options every fault test starts from: deterministic, no real sleeping.
@@ -105,13 +90,13 @@ RemoteSharded MakeRemoteSharded(
     std::vector<std::vector<FaultStep>> scripts = {},
     RemoteStoreOptions options = FastOptions()) {
   RemoteSharded out;
+  out.peers = test_util::ExactShards(table, num_shards, precision);
   std::vector<std::unique_ptr<VectorStore>> children;
   for (size_t s = 0; s < num_shards; ++s) {
-    out.peers.push_back(MakeExact(ShardRows(table, num_shards, s), precision));
     std::vector<FaultStep> script;
     if (s < scripts.size()) script = std::move(scripts[s]);
     auto transport =
-        std::make_unique<FaultTransport>(*out.peers.back(), std::move(script));
+        std::make_unique<FaultTransport>(*out.peers[s], std::move(script));
     out.transports.push_back(transport.get());
     auto remote = RemoteStore::Create(std::move(transport), options);
     SEESAW_CHECK(remote.ok()) << remote.status().ToString();
@@ -465,6 +450,93 @@ TEST(RemoteStoreFaults, BackoffScheduleEnvelopeAndMonotonicity) {
   }
 }
 
+// -------------------------------------------------------- peer checks --
+//
+// Nothing a peer reports reaches an id, an offset or an allocation size
+// unchecked. Each test scripts the lie with FaultTransport's Reply step.
+
+/// A RemoteStore over `peer` whose StoreInfo probe reports `size` x `dim`.
+StatusOr<std::unique_ptr<RemoteStore>> CreateClaiming(
+    const VectorStore& peer, uint64_t size, uint32_t dim,
+    std::vector<FaultStep> rest = {}) {
+  net::StoreInfoReply info;
+  info.size = size;
+  info.dim = dim;
+  rest.insert(rest.begin(), Reply(net::EncodeStoreInfoReply(info)));
+  return RemoteStore::Create(
+      std::make_unique<FaultTransport>(peer, std::move(rest)), FastOptions());
+}
+
+// A shape past the uint32_t id space, or with no dimensions, fails Create.
+TEST(RemoteStorePeerChecks, UnusableStoreInfoShapeFailsCreate) {
+  auto peer = MakeExact(test_util::RandomTable(40, 8, /*seed=*/61),
+                        ScanPrecision::kFloat32);
+  const std::pair<uint64_t, uint32_t> shapes[] = {
+      {(uint64_t{1} << 32) + 5, 8}, {uint64_t{1} << 40, 8}, {40, 0}};
+  for (auto [size, dim] : shapes) {
+    auto remote = CreateClaiming(*peer, size, dim);
+    ASSERT_FALSE(remote.ok()) << "size " << size << " dim " << dim;
+    EXPECT_TRUE(remote.status().IsInvalidArgument());
+  }
+}
+
+// The GetVector cache holds the ids fetched, not a slot per claimed row:
+// 2^32 - 1 claimed rows would otherwise be a 32 GB pointer table.
+TEST(RemoteStorePeerChecks, GetVectorCacheIsNotSizedByThePeer) {
+  constexpr uint32_t kClaimed = 0xFFFFFFFFu;
+  linalg::MatrixF table = test_util::RandomTable(4, 8, /*seed=*/62);
+  auto peer = MakeExact(table, ScanPrecision::kFloat32);
+  net::StoreGetVectorReply row;
+  row.vector.assign(table.Row(1).begin(), table.Row(1).end());
+  auto remote = CreateClaiming(*peer, kClaimed, 8,
+                               {Reply(net::EncodeStoreGetVectorReply(row))});
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  linalg::VecSpan got = (*remote)->GetVector(kClaimed - 1);
+  ASSERT_EQ(got.size(), 8u);
+  for (size_t j = 0; j < 8; ++j) EXPECT_EQ(got[j], table.Row(1)[j]);
+  // The script is spent: the second read must be a cache hit.
+  EXPECT_EQ((*remote)->GetVector(kClaimed - 1).data(), got.data());
+}
+
+// Claimed child sizes summing past the uint32_t id space fail
+// CreateFromChildren instead of wrapping the shard offsets.
+TEST(RemoteStorePeerChecks, ChildSizesPastIdSpaceFailCreateFromChildren) {
+  auto peer = MakeExact(test_util::RandomTable(40, 8, /*seed=*/63),
+                        ScanPrecision::kFloat32);
+  std::vector<std::unique_ptr<VectorStore>> children;
+  for (int s = 0; s < 2; ++s) {
+    auto remote = CreateClaiming(*peer, 3000000000u, 8);
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    children.push_back(std::move(*remote));
+  }
+  auto made = ShardedStore::CreateFromChildren(std::move(children));
+  ASSERT_FALSE(made.ok());
+  EXPECT_TRUE(made.status().IsInvalidArgument());
+}
+
+// A scan reply with an id >= the store size (which the merge would shift
+// onto another shard's row) or with more than k hits is an IoError through
+// the collector, and the scan returns nothing.
+TEST(RemoteStorePeerChecks, OutOfRangeIdOrTooManyHitsIsAnIoError) {
+  linalg::MatrixF table = test_util::RandomTable(40, 8, /*seed=*/64);
+  auto queries = test_util::RandomQueries(1, 8, /*seed=*/65);
+  const std::vector<SearchResult> lies[] = {
+      {{40, 9.0f}}, {{0, 3.0f}, {1, 2.0f}, {2, 1.0f}}};
+  for (const auto& lie : lies) {
+    net::StoreTopKBatchReply reply;
+    reply.results = {lie};
+    RemoteSingle fx = MakeRemoteSingle(
+        table, {Pass(), Reply(net::EncodeStoreTopKBatchReply(reply))});
+    ScanErrorCollector errors;
+    ScanControl control;
+    control.errors = &errors;
+    EXPECT_TRUE(
+        fx.remote->TopK(queries[0], 2, store::EmptySeenSet(), control).empty());
+    ASSERT_FALSE(errors.ok());
+    EXPECT_EQ(errors.first().code(), StatusCode::kIoError);
+  }
+}
+
 // ------------------------------------------------------- real sockets --
 
 data::DatasetProfile SmallBdd() {
@@ -524,10 +596,9 @@ TEST(RemoteStoreSockets, TwoShardServersBitwiseParity) {
   linalg::MatrixF table = test_util::RandomTable(kRows, kDim, /*seed=*/41);
   auto reference = MakeExact(table, ScanPrecision::kFloat32);
 
-  auto shard0 = MakeExact(ShardRows(table, 2, 0), ScanPrecision::kFloat32);
-  auto shard1 = MakeExact(ShardRows(table, 2, 1), ScanPrecision::kFloat32);
-  StoreServerFixture server0(*shard0);
-  StoreServerFixture server1(*shard1);
+  auto shards = test_util::ExactShards(table, 2);
+  StoreServerFixture server0(*shards[0]);
+  StoreServerFixture server1(*shards[1]);
 
   std::vector<std::unique_ptr<VectorStore>> children;
   for (const StoreServerFixture* f : {&server0, &server1}) {
@@ -537,7 +608,7 @@ TEST(RemoteStoreSockets, TwoShardServersBitwiseParity) {
     children.push_back(std::move(*remote));
   }
   // The kStoreInfo probe populated shape before any scan.
-  EXPECT_EQ(children[0]->size(), shard0->size());
+  EXPECT_EQ(children[0]->size(), shards[0]->size());
   EXPECT_EQ(children[0]->dim(), kDim);
   auto made = ShardedStore::CreateFromChildren(std::move(children));
   ASSERT_TRUE(made.ok()) << made.status().ToString();
@@ -658,13 +729,16 @@ std::string TopKBatchFrame(uint64_t request_id, const linalg::VectorF& query,
                           net::EncodeStoreTopKBatchRequest(req));
 }
 
-/// Answers `frame` through StoreFrameService::HandleFrame.
+/// Answers `frame` through StoreFrameService::HandleFrame, framed the way
+/// the fault harness frames it.
 std::pair<net::FrameHeader, std::string> HandleInProcess(
     const net::StoreFrameService& service, const std::string& frame) {
   net::FrameHeader header;
   SEESAW_CHECK(net::DecodeHeader(frame, &header));
-  std::string reply = service.HandleFrame(
-      header, std::string_view(frame).substr(net::kHeaderBytes));
+  std::string reply = test_util::EncodeStoreReply(
+      service.HandleFrame(header.type,
+                          std::string_view(frame).substr(net::kHeaderBytes)),
+      header.request_id);
   SEESAW_CHECK(net::DecodeHeader(reply, &header));
   return {header, reply.substr(net::kHeaderBytes)};
 }

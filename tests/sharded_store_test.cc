@@ -1,8 +1,9 @@
-// ShardedStore: randomized parity against a single ExactStore (bitwise
-// identical ids and scores for every shard count), id/seen-set mapping,
-// concurrent-sessions stress on a shared pool, and deterministic in-scan
-// cancellation — a blocked scan observes a CancellationToken cancel inside
-// one TopKBatch call, for ExactStore, IvfFlatIndex, and ShardedStore.
+// ShardedStore's merge contract over test_util::ExactShards children:
+// randomized parity against a single ExactStore (bitwise identical ids and
+// scores for every shard count), id/seen-set mapping, concurrent-sessions
+// stress on a shared pool, and deterministic in-scan cancellation — a
+// blocked scan observes a CancellationToken cancel inside one TopKBatch
+// call, for ExactStore, IvfFlatIndex, and ShardedStore.
 #include "store/sharded_store.h"
 
 #include <gtest/gtest.h>
@@ -13,8 +14,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "core/service.h"
-#include "core/session_manager.h"
 #include "store/exact_store.h"
 #include "store/ivf_index.h"
 #include "tests/test_util.h"
@@ -26,6 +25,7 @@ using linalg::MatrixF;
 using linalg::VecSpan;
 using linalg::VectorF;
 using test_util::AsSpans;
+using test_util::ExactShards;
 using test_util::ExpectIdenticalResults;
 using test_util::RandomQueries;
 using test_util::RandomSeenSet;
@@ -47,7 +47,7 @@ MatrixF DuplicateRowTable(size_t n, size_t d, size_t distinct, uint64_t seed) {
 
 /// Asserts ShardedStore == ExactStore bitwise for single queries and for
 /// batches (serial and pooled) at several k, under the given seen set.
-void CheckShardedParity(const ExactStore& exact, const ShardedStore& sharded,
+void ExpectMatchesExact(const ExactStore& exact, const ShardedStore& sharded,
                         const std::vector<VectorF>& queries,
                         const SeenSet& seen, ThreadPool* pool) {
   ASSERT_EQ(exact.size(), sharded.size());
@@ -75,10 +75,11 @@ void CheckShardedParity(const ExactStore& exact, const ShardedStore& sharded,
 }
 
 TEST(ShardedStoreTest, ValidatesInput) {
-  EXPECT_FALSE(ShardedStore::Create(MatrixF(), {}).ok());
-  ShardedOptions zero;
-  zero.num_shards = 0;
-  EXPECT_FALSE(ShardedStore::Create(RandomTable(10, 4, 1), zero).ok());
+  EXPECT_FALSE(ShardedStore::CreateFromChildren({}).ok());
+  // Children must agree on dimensionality.
+  auto children = ExactShards(RandomTable(10, 4, 1), 2);
+  children.push_back(std::move(ExactShards(RandomTable(10, 5, 1), 1)[0]));
+  EXPECT_FALSE(ShardedStore::CreateFromChildren(std::move(children)).ok());
 }
 
 TEST(ShardedStoreTest, PartitionCoversEveryRowOnce) {
@@ -87,45 +88,31 @@ TEST(ShardedStoreTest, PartitionCoversEveryRowOnce) {
   const size_t n = 37;
   MatrixF table = RandomTable(n, 5, 2);
   for (size_t shards : kShardCounts) {
-    ShardedOptions options;
-    options.num_shards = shards;
-    auto store = ShardedStore::Create(table, options);
-    ASSERT_TRUE(store.ok());
-    EXPECT_EQ(store->num_shards(), std::min(shards, n));
-    EXPECT_EQ(store->size(), n);
     size_t covered = 0;
-    for (size_t s = 0; s < store->num_shards(); ++s) {
-      const size_t rows = store->shard_begin(s + 1) - store->shard_begin(s);
-      EXPECT_GE(rows, n / store->num_shards());
-      EXPECT_LE(rows, n / store->num_shards() + 1);
+    for (size_t s = 0; s < shards; ++s) {
+      auto [first, rows] = ShardedStore::PartitionRange(n, shards, s);
+      EXPECT_EQ(first, covered);
+      EXPECT_GE(rows, n / shards);
+      EXPECT_LE(rows, n / shards + 1);
       covered += rows;
     }
     EXPECT_EQ(covered, n);
+    auto store = ShardedStore::CreateFromChildren(ExactShards(table, shards));
+    ASSERT_TRUE(store.ok());
+    EXPECT_EQ(store->size(), n);
     // Global-id mapping: GetVector(g) must be the original row g bitwise,
     // and Locate must invert the partition.
     for (uint32_t g = 0; g < n; ++g) {
       auto [s, local] = store->Locate(g);
-      EXPECT_EQ(store->shard_begin(s) + local, g);
+      auto [first, rows] = ShardedStore::PartitionRange(n, shards, s);
+      EXPECT_EQ(first + local, g);
+      EXPECT_LT(local, rows);
       auto got = store->GetVector(g);
       auto want = table.Row(g);
       ASSERT_EQ(got.size(), want.size());
       for (size_t j = 0; j < got.size(); ++j) EXPECT_EQ(got[j], want[j]);
     }
   }
-}
-
-TEST(ShardedStoreTest, ClampsShardCountToRows) {
-  MatrixF table = RandomTable(5, 4, 6);
-  auto exact = ExactStore::Create(table);
-  ShardedOptions options;
-  options.num_shards = 16;
-  auto sharded = ShardedStore::Create(table, options);
-  ASSERT_TRUE(exact.ok());
-  ASSERT_TRUE(sharded.ok());
-  EXPECT_EQ(sharded->num_shards(), 5u);  // one row per shard
-  auto queries = RandomQueries(2, 4, 7);
-  CheckShardedParity(*exact, *sharded, queries, EmptySeenSet(),
-                     /*pool=*/nullptr);
 }
 
 TEST(ShardedStoreTest, RandomizedParitySweep) {
@@ -151,50 +138,25 @@ TEST(ShardedStoreTest, RandomizedParitySweep) {
     ASSERT_TRUE(exact8.ok());
     auto queries = RandomQueries(4, c.d, c.seed + 100);
     for (size_t shards : kShardCounts) {
-      ShardedOptions options;
-      options.num_shards = shards;
-      auto sharded = ShardedStore::Create(table, options);
+      auto sharded =
+          ShardedStore::CreateFromChildren(ExactShards(table, shards));
       ASSERT_TRUE(sharded.ok());
       for (double fraction : {0.0, 0.5, 0.99}) {
         SeenSet seen = RandomSeenSet(c.n, fraction, c.seed + 7);
-        CheckShardedParity(*exact, *sharded, queries, seen, &pool);
+        ExpectMatchesExact(*exact, *sharded, queries, seen, &pool);
       }
       // An empty (capacity-0) global seen set must slice cleanly too.
-      CheckShardedParity(*exact, *sharded, queries, EmptySeenSet(), &pool);
+      ExpectMatchesExact(*exact, *sharded, queries, EmptySeenSet(), &pool);
 
-      options.precision = ScanPrecision::kInt8;
-      auto sharded8 = ShardedStore::Create(table, options);
+      auto sharded8 = ShardedStore::CreateFromChildren(
+          ExactShards(table, shards, ScanPrecision::kInt8));
       ASSERT_TRUE(sharded8.ok());
       for (double fraction : {0.0, 0.5, 0.99}) {
         SeenSet seen = RandomSeenSet(c.n, fraction, c.seed + 7);
-        CheckShardedParity(*exact8, *sharded8, queries, seen, &pool);
+        ExpectMatchesExact(*exact8, *sharded8, queries, seen, &pool);
       }
     }
   }
-}
-
-TEST(ShardedStoreTest, MinRowsPerShardFallsBackToFewerShards) {
-  // Small tables auto-fall back: requesting 16 shards of a 300-row table
-  // with a 100-row floor yields 3 shards — and stays bitwise equal to the
-  // unsharded scan (the floor only changes the partition, never results).
-  MatrixF table = RandomTable(300, 8, 31);
-  auto exact = ExactStore::Create(table);
-  ASSERT_TRUE(exact.ok());
-  ShardedOptions options;
-  options.num_shards = 16;
-  options.min_rows_per_shard = 100;
-  auto sharded = ShardedStore::Create(table, options);
-  ASSERT_TRUE(sharded.ok());
-  EXPECT_EQ(sharded->num_shards(), 3u);
-  auto queries = RandomQueries(3, 8, 32);
-  SeenSet seen = RandomSeenSet(300, 0.4, 33);
-  CheckShardedParity(*exact, *sharded, queries, seen, /*pool=*/nullptr);
-
-  // A floor larger than the table collapses to one shard.
-  options.min_rows_per_shard = 1000;
-  auto single = ShardedStore::Create(table, options);
-  ASSERT_TRUE(single.ok());
-  EXPECT_EQ(single->num_shards(), 1u);
 }
 
 TEST(ShardedStoreTest, DuplicateScoresTieBreakAcrossShardBoundaries) {
@@ -207,21 +169,18 @@ TEST(ShardedStoreTest, DuplicateScoresTieBreakAcrossShardBoundaries) {
   auto queries = RandomQueries(3, 6, 12);
   ThreadPool pool(4);
   for (size_t shards : kShardCounts) {
-    ShardedOptions options;
-    options.num_shards = shards;
-    auto sharded = ShardedStore::Create(table, options);
+    auto sharded = ShardedStore::CreateFromChildren(ExactShards(table, shards));
     ASSERT_TRUE(sharded.ok());
     for (double fraction : {0.0, 0.5}) {
       SeenSet seen = RandomSeenSet(n, fraction, 13);
-      CheckShardedParity(*exact, *sharded, queries, seen, &pool);
+      ExpectMatchesExact(*exact, *sharded, queries, seen, &pool);
     }
   }
 }
 
 TEST(ShardedStoreTest, KZeroAndEmptyBatchAreTrivial) {
-  ShardedOptions options;
-  options.num_shards = 3;
-  auto sharded = ShardedStore::Create(RandomTable(20, 4, 31), options);
+  auto sharded =
+      ShardedStore::CreateFromChildren(ExactShards(RandomTable(20, 4, 31), 3));
   ASSERT_TRUE(sharded.ok());
   EXPECT_TRUE(sharded->TopKBatch({}, 5).empty());
   auto queries = RandomQueries(2, 4, 32);
@@ -239,9 +198,7 @@ TEST(ShardedStoreTest, ConcurrentSessionsStress) {
   const size_t n = 400, d = 8;
   MatrixF table = RandomTable(n, d, 41);
   auto exact = ExactStore::Create(table);
-  ShardedOptions options;
-  options.num_shards = 7;
-  auto sharded = ShardedStore::Create(table, options);
+  auto sharded = ShardedStore::CreateFromChildren(ExactShards(table, 7));
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(sharded.ok());
   ThreadPool shared_pool(4);
@@ -292,9 +249,7 @@ TEST(ShardedStoreTest, ConcurrentCancellationLeavesOthersIntact) {
   const size_t n = 600, d = 8;
   MatrixF table = RandomTable(n, d, 61);
   auto exact = ExactStore::Create(table);
-  ShardedOptions options;
-  options.num_shards = 7;
-  auto sharded = ShardedStore::Create(table, options);
+  auto sharded = ShardedStore::CreateFromChildren(ExactShards(table, 7));
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(sharded.ok());
   ThreadPool shared_pool(4);
@@ -408,9 +363,7 @@ TEST(InScanCancellationTest, ShardedStoreStopsMidTopKBatchAndSkipsShards) {
   // 8 blocks per child, 72 checkpoints total uncancelled (64 block + 8
   // shard dispatches); cancelled: 1 block hit + 7 shard-skip hits.
   MatrixF table = RandomTable(2048, 8, 73);
-  ShardedOptions options;
-  options.num_shards = 8;
-  auto store = ShardedStore::Create(table, options);
+  auto store = ShardedStore::CreateFromChildren(ExactShards(table, 8));
   ASSERT_TRUE(store.ok());
   auto queries = RandomQueries(2, 8, 74);
   std::vector<VecSpan> spans = AsSpans(queries);
@@ -509,56 +462,6 @@ TEST(InScanCancellationTest, SingleQueryTopKForwardsControl) {
   EXPECT_EQ(hit, 1) << "the scan must stop at the checkpoint that "
                        "observed the cancel, not finish the table";
   EXPECT_TRUE(out.empty());  // nothing scanned before the cancel
-}
-
-// ------------------------------------------------- service-layer wiring --
-
-TEST(ShardedServiceTest, ManagedSessionsMatchExactBackendBitwise) {
-  // ServiceOptions -> kSharded backend -> SessionManager shared pool:
-  // batches served through managed sessions must be bitwise identical to
-  // the single-ExactStore service.
-  auto profile = data::CocoLikeProfile(0.05);
-  profile.embedding_dim = 32;
-  auto ds = data::Dataset::Generate(profile);
-  ASSERT_TRUE(ds.ok());
-
-  auto run_service = [&](core::StoreBackend backend) {
-    core::ServiceOptions options;
-    options.preprocess.multiscale.enabled = false;
-    options.preprocess.build_md = false;
-    options.preprocess.backend = backend;
-    options.preprocess.sharded.num_shards = 5;
-    options.session_threads = 3;
-    auto svc = core::SeeSawService::Create(*ds, options);
-    EXPECT_TRUE(svc.ok());
-    auto& manager = svc->sessions();
-    auto id = manager.CreateSession(svc->embedded().TextQuery(0));
-    EXPECT_TRUE(id.ok());
-    auto session = manager.Find(*id);
-    std::vector<core::ScoredImage> batches;
-    for (int round = 0; round < 3; ++round) {
-      auto batch = session->NextBatch(6);
-      for (const auto& hit : batch) {
-        core::ImageFeedback fb;
-        fb.image_idx = hit.image_idx;
-        fb.relevant = ds->IsPositive(hit.image_idx, 0);
-        if (fb.relevant) fb.boxes = ds->ConceptBoxes(hit.image_idx, 0);
-        session->AddFeedback(fb);
-        batches.push_back(hit);
-      }
-      EXPECT_TRUE(session->Refit().ok());
-    }
-    EXPECT_TRUE(manager.Close(*id).ok());
-    return batches;
-  };
-
-  auto exact = run_service(core::StoreBackend::kExact);
-  auto sharded = run_service(core::StoreBackend::kSharded);
-  ASSERT_EQ(exact.size(), sharded.size());
-  for (size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_EQ(exact[i].image_idx, sharded[i].image_idx) << "position " << i;
-    EXPECT_EQ(exact[i].score, sharded[i].score) << "position " << i;
-  }
 }
 
 }  // namespace

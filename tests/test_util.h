@@ -1,8 +1,8 @@
 // Shared fixture builders for the test suites: random embedding-like
-// tables, query sets, seen sets, the brute-force top-k oracle, the
-// embedded-dataset fixture, and the deterministic scripted user driving
-// interaction-loop tests. Header-only; every test binary links the full
-// library.
+// tables, query sets, seen sets, the brute-force top-k oracle, in-process
+// shard children, the embedded-dataset fixture, and the deterministic
+// scripted user driving interaction-loop tests. Header-only; every test
+// binary links the full library.
 #ifndef SEESAW_TESTS_TEST_UTIL_H_
 #define SEESAW_TESTS_TEST_UTIL_H_
 
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "clip/concept_space.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "core/embedded_dataset.h"
 #include "core/searcher_base.h"
@@ -24,21 +25,18 @@
 #include "linalg/quantize.h"
 #include "linalg/simd.h"
 #include "linalg/vector_ops.h"
+#include "store/exact_store.h"
 #include "store/seen_set.h"
+#include "store/sharded_store.h"
 #include "store/vector_store.h"
+#include "tools/shard_table.h"
 
 namespace seesaw::test_util {
 
-/// Random unit-vector table, like an embedding table.
+/// Random unit-vector table, like an embedding table: the seeded table
+/// shard servers build, so tests and tools agree bit for bit.
 inline linalg::MatrixF RandomTable(size_t n, size_t d, uint64_t seed) {
-  Rng rng(seed);
-  linalg::MatrixF table(n, d);
-  for (size_t i = 0; i < n; ++i) {
-    auto row = table.MutableRow(i);
-    for (size_t j = 0; j < d; ++j) row[j] = static_cast<float>(rng.Gaussian());
-    linalg::NormalizeInPlace(row);
-  }
-  return table;
+  return tools::DeterministicTable(n, d, seed);
 }
 
 /// Clustered unit vectors — the shape of real embedding tables (uniform
@@ -143,6 +141,27 @@ inline std::vector<store::SearchResult> BruteForceTopK(
   return all;
 }
 
+/// In-process shard children over `table`: shard s is an ExactStore over
+/// rows ShardedStore::PartitionRange(rows, num_shards, s), copied verbatim —
+/// exactly the slice a shard server serves. Feed them to
+/// ShardedStore::CreateFromChildren, or serve them as remote peers.
+inline std::vector<std::unique_ptr<store::VectorStore>> ExactShards(
+    const linalg::MatrixF& table, size_t num_shards,
+    store::ScanPrecision precision = store::ScanPrecision::kFloat32) {
+  std::vector<std::unique_ptr<store::VectorStore>> shards;
+  for (size_t s = 0; s < num_shards; ++s) {
+    auto [first, count] =
+        store::ShardedStore::PartitionRange(table.rows(), num_shards, s);
+    linalg::MatrixF rows(count, table.cols());
+    std::copy_n(table.data().begin() + first * table.cols(),
+                count * table.cols(), rows.mutable_data().begin());
+    auto made = store::ExactStore::Create(std::move(rows), {precision});
+    SEESAW_CHECK(made.ok()) << made.status().ToString();
+    shards.push_back(std::make_unique<store::ExactStore>(std::move(*made)));
+  }
+  return shards;
+}
+
 /// A small generated dataset embedded with the given store backend — the
 /// fixture the searcher/prefetch/session suites drive end to end.
 struct EmbeddedFixture {
@@ -150,12 +169,9 @@ struct EmbeddedFixture {
   std::unique_ptr<core::EmbeddedDataset> embedded;
 };
 
-inline EmbeddedFixture MakeEmbeddedFixture(core::StoreBackend backend,
-                                           double scale = 0.05,
-                                           size_t dim = 32,
-                                           size_t num_shards = 4) {
-  auto profile = data::CocoLikeProfile(scale);
-  profile.embedding_dim = dim;
+inline EmbeddedFixture MakeEmbeddedFixture(core::StoreBackend backend) {
+  auto profile = data::CocoLikeProfile(0.05);
+  profile.embedding_dim = 32;
   auto ds = data::Dataset::Generate(profile);
   EXPECT_TRUE(ds.ok());
   EmbeddedFixture f;
@@ -164,7 +180,6 @@ inline EmbeddedFixture MakeEmbeddedFixture(core::StoreBackend backend,
   options.multiscale.enabled = false;
   options.build_md = false;
   options.backend = backend;
-  options.sharded.num_shards = num_shards;
   auto ed = core::EmbeddedDataset::Build(*f.dataset, options);
   EXPECT_TRUE(ed.ok());
   f.embedded = std::make_unique<core::EmbeddedDataset>(std::move(*ed));

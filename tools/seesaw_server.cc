@@ -167,10 +167,8 @@ int main(int argc, char** argv) {
     auto [first, count] = store::ShardedStore::PartitionRange(
         flags.store_rows, flags.num_shards, flags.shard_index);
     linalg::MatrixF part(count, flags.dim);
-    for (size_t r = 0; r < count; ++r) {
-      auto src = table.Row(first + r);
-      std::copy(src.begin(), src.end(), part.MutableRow(r).begin());
-    }
+    std::copy_n(table.data().begin() + first * flags.dim, count * flags.dim,
+                part.mutable_data().begin());
     store::ExactStoreOptions store_options;
     store_options.precision = flags.precision == "int8"
                                   ? store::ScanPrecision::kInt8

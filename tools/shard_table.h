@@ -13,9 +13,8 @@
 
 namespace seesaw::tools {
 
-/// Unit-norm rows from a seeded Gaussian — the same construction the test
-/// suites' RandomTable uses, reproduced here so tools/ stays independent of
-/// tests/.
+/// Unit-norm rows from a seeded Gaussian (test_util::RandomTable is this
+/// table too).
 inline linalg::MatrixF DeterministicTable(size_t rows, size_t dim,
                                           uint64_t seed) {
   Rng rng(seed);
