@@ -1,5 +1,5 @@
-// Think-time speculative prefetch: perceived NextBatch latency and hit rate,
-// prefetch off vs on, across store backends.
+// Think-time speculative prefetch: perceived NextBatch and Refit latency and
+// hit rate, prefetch off vs on, across store backends.
 //
 // The paper's latency analysis (§2.4, Table 6) measures what the user waits
 // on between feedback rounds. With simulated per-image think time, the
@@ -7,9 +7,10 @@
 // the perceived NextBatch latency into a handle wait, a miss recomputes
 // synchronously and costs the same as prefetch-off. The zero-shot rows
 // measure the same-query speculation; the seesaw rows measure speculation
-// *through the refit* — the aligner runs during think time and the scan uses
-// the predicted post-refit query, so `hit_rate_post_refit` was identically 0
-// before refit speculation and should approach 1 with it. Every (backend,
+// *through the refit* — the aligner runs during think time, Refit() adopts
+// that fit (so `refit_adopted` should equal `refit_fits` and the perceived
+// refit shrinks to a handle wait), and the scan already uses the refit
+// query, so `hit_rate_post_refit` should approach 1. Every (backend,
 // variant) cell also asserts the prefetch-on relevance sequence is identical
 // to the prefetch-off one — speculation must never change results.
 //
@@ -19,7 +20,7 @@
 //
 // With --csv, one
 //   backend,variant,prefetch,hit_rate,hit_rate_post_refit,refit_fits,
-//   refit_matches,perceived_nextbatch_ms,total_wait_ms
+//   refit_adopted,perceived_nextbatch_ms,perceived_refit_ms,total_wait_ms
 // row per cell goes to stdout (after a header) and the table is skipped.
 // With --json, each cell is one JSON object per line (same fields plus
 // think_ms); scripts/run_bench_suite.sh --json collects them into
@@ -73,14 +74,15 @@ struct CellResult {
   double hit_rate = 0.0;             // all consumed speculations
   double hit_rate_post_refit = 0.0;  // consumed with a predicted query
   size_t refit_fits = 0;             // speculative aligner fits launched
-  size_t refit_matches = 0;          // refits landing on the predicted bits
+  size_t refit_adopted = 0;          // refits that adopted the fit
   double perceived_nextbatch_ms = 0.0;  // mean per round
+  double perceived_refit_ms = 0.0;      // mean per round
   double total_wait_ms = 0.0;           // mean perceived per task
   std::vector<std::vector<char>> relevance;  // per concept, parity key
 };
 
 /// Drives every concept through a fresh searcher sharing `pool`, prefetch
-/// per `policy`, and aggregates latency + speculation accounting.
+/// per `prefetch_enabled`, and aggregates latency + speculation accounting.
 CellResult RunCell(const core::EmbeddedDataset& embedded,
                    const data::Dataset& dataset,
                    const std::vector<size_t>& concepts,
@@ -94,13 +96,14 @@ CellResult RunCell(const core::EmbeddedDataset& embedded,
   task.think_seconds_per_image = args.think_ms / 1e3;
 
   core::SeeSawOptions options = base_options;
-  options.prefetch.enabled = prefetch_enabled;
+  options.prefetch = prefetch_enabled;
 
   CellResult cell;
   size_t hits = 0;
   size_t hits_post_refit = 0;
   size_t rounds = 0;
   double nextbatch_seconds = 0;
+  double refit_seconds = 0;
   double perceived_seconds = 0;
   for (size_t concept_id : concepts) {
     core::SeeSawSearcher searcher(embedded, embedded.TextQuery(concept_id),
@@ -112,9 +115,10 @@ CellResult RunCell(const core::EmbeddedDataset& embedded,
     hits += stats.hits;
     hits_post_refit += stats.hits_post_refit;
     cell.refit_fits += stats.refit_fits;
-    cell.refit_matches += stats.refit_matches;
+    cell.refit_adopted += stats.refit_adopted;
     rounds += r.rounds;
     nextbatch_seconds += r.nextbatch_seconds;
+    refit_seconds += r.refit_seconds;
     perceived_seconds += r.perceived_seconds;
     cell.relevance.push_back(r.relevance);
   }
@@ -130,6 +134,8 @@ CellResult RunCell(const core::EmbeddedDataset& embedded,
   }
   cell.perceived_nextbatch_ms =
       rounds > 0 ? nextbatch_seconds * 1e3 / static_cast<double>(rounds) : 0;
+  cell.perceived_refit_ms =
+      rounds > 0 ? refit_seconds * 1e3 / static_cast<double>(rounds) : 0;
   cell.total_wait_ms =
       perceived_seconds * 1e3 / static_cast<double>(concepts.size());
   return cell;
@@ -165,16 +171,18 @@ int Run(int argc, char** argv) {
   if (args.csv) {
     std::printf(
         "backend,variant,prefetch,hit_rate,hit_rate_post_refit,refit_fits,"
-        "refit_matches,perceived_nextbatch_ms,total_wait_ms\n");
+        "refit_adopted,perceived_nextbatch_ms,perceived_refit_ms,"
+        "total_wait_ms\n");
   } else if (!args.json) {
     std::printf(
         "Prefetch latency: scale=%.2f dim=%zu batch=%zu think=%.1fms "
         "threads=%zu concepts=%zu\n",
         args.scale, args.dim, args.batch, args.think_ms, pool.num_threads(),
         concepts.size());
-    std::printf("%-8s %-10s %-9s %9s %10s %22s %14s\n", "backend", "variant",
-                "prefetch", "hit_rate", "post_refit",
-                "perceived_nextbatch_ms", "total_wait_ms");
+    std::printf("%-8s %-10s %-9s %9s %10s %22s %18s %14s\n", "backend",
+                "variant", "prefetch", "hit_rate", "post_refit",
+                "perceived_nextbatch_ms", "perceived_refit_ms",
+                "total_wait_ms");
   }
 
   for (size_t b = 0; b < std::size(backends); ++b) {
@@ -197,27 +205,30 @@ int Run(int argc, char** argv) {
       for (int prefetch = 0; prefetch < 2; ++prefetch) {
         const CellResult& cell = prefetch ? on : off;
         if (args.csv) {
-          std::printf("%s,%s,%s,%.3f,%.3f,%zu,%zu,%.4f,%.3f\n",
+          std::printf("%s,%s,%s,%.3f,%.3f,%zu,%zu,%.4f,%.4f,%.3f\n",
                       backend_names[b], variant.name, prefetch ? "on" : "off",
                       cell.hit_rate, cell.hit_rate_post_refit,
-                      cell.refit_fits, cell.refit_matches,
-                      cell.perceived_nextbatch_ms, cell.total_wait_ms);
+                      cell.refit_fits, cell.refit_adopted,
+                      cell.perceived_nextbatch_ms, cell.perceived_refit_ms,
+                      cell.total_wait_ms);
         } else if (args.json) {
           std::printf(
               "{\"backend\":\"%s\",\"variant\":\"%s\",\"prefetch\":\"%s\","
               "\"think_ms\":%.3f,\"hit_rate\":%.3f,"
               "\"hit_rate_post_refit\":%.3f,\"refit_fits\":%zu,"
-              "\"refit_matches\":%zu,\"perceived_nextbatch_ms\":%.4f,"
-              "\"total_wait_ms\":%.3f}\n",
+              "\"refit_adopted\":%zu,\"perceived_nextbatch_ms\":%.4f,"
+              "\"perceived_refit_ms\":%.4f,\"total_wait_ms\":%.3f}\n",
               backend_names[b], variant.name, prefetch ? "on" : "off",
               args.think_ms, cell.hit_rate, cell.hit_rate_post_refit,
-              cell.refit_fits, cell.refit_matches,
-              cell.perceived_nextbatch_ms, cell.total_wait_ms);
+              cell.refit_fits, cell.refit_adopted,
+              cell.perceived_nextbatch_ms, cell.perceived_refit_ms,
+              cell.total_wait_ms);
         } else {
-          std::printf("%-8s %-10s %-9s %9.3f %10.3f %22.4f %14.3f\n",
+          std::printf("%-8s %-10s %-9s %9.3f %10.3f %22.4f %18.4f %14.3f\n",
                       backend_names[b], variant.name, prefetch ? "on" : "off",
                       cell.hit_rate, cell.hit_rate_post_refit,
-                      cell.perceived_nextbatch_ms, cell.total_wait_ms);
+                      cell.perceived_nextbatch_ms, cell.perceived_refit_ms,
+                      cell.total_wait_ms);
         }
       }
     }

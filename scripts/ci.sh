@@ -5,7 +5,10 @@
 #
 # Base pass (default): generic Release configure + build + full ctest, plus a
 # SEESAW_FORCE_KERNEL=scalar re-run of the kernel-sensitive suites so the
-# env-pinned scalar dispatch path is proven end-to-end on every run.
+# env-pinned scalar dispatch path is proven end-to-end on every run, plus the
+# speculation parity check: bench_prefetch_latency aborts (SEESAW_CHECK)
+# unless prefetch-on reproduces the prefetch-off result sequences on the
+# exact, ivf and annoy backends (~20 s at --scale=0.05, mostly think time).
 #
 # --native   additionally builds with SEESAW_ENABLE_NATIVE_ARCH=ON
 #            (-march=native) in build-native and runs the full suite there —
@@ -61,6 +64,8 @@ if [[ "$RUN_BASE" == 1 ]]; then
   # be silently skipped here.
   (cd build &&
    SEESAW_FORCE_KERNEL=scalar ctest --output-on-failure -L kernel -j)
+  echo "=== Speculation parity check (prefetch on == off) ==="
+  build/bench_prefetch_latency --scale=0.05
 fi
 
 if [[ "$RUN_NATIVE" == 1 ]]; then

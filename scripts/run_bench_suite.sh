@@ -16,8 +16,9 @@
 # kernel throughput across dims x batches), BENCH_topk.json
 # (bench_topk_latency rows across --sizes), BENCH_prefetch.json
 # (bench_prefetch_latency: per-backend/variant speculation hit rates —
-# zero-shot and post-refit — plus perceived NextBatch latency, prefetch off
-# vs on, parity-checked), BENCH_serving.json (bench_serving: open-loop TCP
+# zero-shot and post-refit — adopted refit fits, plus perceived NextBatch and
+# Refit latency, prefetch off vs on, parity-checked; its meta carries a host
+# block), BENCH_serving.json (bench_serving: open-loop TCP
 # serving load — perceived latency percentiles, shed rate, and session churn
 # at SERVING_SESSIONS concurrent think-time sessions) and BENCH_scale.json
 # (via run_scale_suite.sh at SCALE_SIZES, default 1M: fp32 vs int8 scan
@@ -136,6 +137,26 @@ emit() {
     done
 }
 
+# The host a baseline was measured on, as a JSON object: CPU model, online
+# cores, the SIMD kernel family the runtime dispatch picked (read from the
+# BENCH_simd.json written first), the build type, and the source revision.
+host_json() {
+    local simd_json="$1"
+    local cpu kernel build_type sha
+    cpu="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)"
+    cpu="${cpu//\\/}"
+    cpu="${cpu//\"/}"
+    kernel="$(grep -o '"dispatched":"[^"]*"' "$simd_json" | cut -d'"' -f4)"
+    build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' \
+                  "$BUILD_DIR/CMakeCache.txt" 2>/dev/null)"
+    # CMakeLists.txt builds Release when no type is configured.
+    build_type="${build_type:-Release}"
+    sha="$(git -C "$REPO_ROOT" describe --always --dirty 2>/dev/null ||
+           echo unknown)"
+    printf '{"cpu":"%s","nproc":%s,"kernel":"%s","build_type":"%s","git_sha":"%s"}' \
+        "${cpu:-unknown}" "$(nproc)" "${kernel:-unknown}" "$build_type" "$sha"
+}
+
 emit_json() {
     [[ -x "$BENCH_SIMD" ]] || build_target bench_simd_kernels
 
@@ -185,9 +206,9 @@ emit_json() {
         [[ -z "$line" ]] && continue
         prows="${prows:+$prows,}$line"
     done < "$tmp"
-    printf '{"bench":"prefetch_latency","meta":{"scale":%s,"dim":%s,"batch":%s,"think_ms":%s,"threads":%s},"rows":[%s]}\n' \
+    printf '{"bench":"prefetch_latency","meta":{"scale":%s,"dim":%s,"batch":%s,"think_ms":%s,"threads":%s,"host":%s},"rows":[%s]}\n' \
         "$PREFETCH_SCALE" "$PREFETCH_DIM" "$PREFETCH_BATCH" \
-        "$PREFETCH_THINK_MS" "$THREADS" "$prows" \
+        "$PREFETCH_THINK_MS" "$THREADS" "$(host_json "$simd_out")" "$prows" \
         > "$prefetch_out"
     echo "prefetch JSON written to $prefetch_out" >&2
 

@@ -45,7 +45,7 @@ AlignerSnapshot QueryAligner::Snapshot() const {
                          warm_,    have_warm_, fit_generation_};
 }
 
-StatusOr<QueryAligner::FitOutcome> QueryAligner::Fit(
+StatusOr<FitOutcome> QueryAligner::Fit(
     const AlignerOptions& options, const linalg::VectorF& q_text,
     const AlignerLoss& loss, const optim::VectorD* warm) {
   FitOutcome outcome;
@@ -90,21 +90,23 @@ StatusOr<linalg::VectorF> QueryAligner::Align() {
       FitOutcome outcome,
       Fit(options_, q_text_, loss_,
           (options_.warm_start && have_warm_) ? &warm_ : nullptr));
-  if (!outcome.ran_solver) return std::move(outcome.query);
-  last_result_ = std::move(outcome.result);
-  warm_ = std::move(outcome.solution);
-  have_warm_ = true;
-  return std::move(outcome.query);
+  return Adopt(std::move(outcome));
 }
 
-StatusOr<linalg::VectorF> QueryAligner::AlignWith(
-    const AlignerSnapshot& snapshot) {
-  SEESAW_ASSIGN_OR_RETURN(
-      FitOutcome outcome,
-      Fit(snapshot.options, snapshot.q_text, snapshot.loss,
-          (snapshot.options.warm_start && snapshot.have_warm)
-              ? &snapshot.warm
-              : nullptr));
+StatusOr<FitOutcome> QueryAligner::Fit(const AlignerSnapshot& snapshot) {
+  return Fit(snapshot.options, snapshot.q_text, snapshot.loss,
+             (snapshot.options.warm_start && snapshot.have_warm)
+                 ? &snapshot.warm
+                 : nullptr);
+}
+
+linalg::VectorF QueryAligner::Adopt(FitOutcome outcome) {
+  if (outcome.ran_solver) {
+    last_result_ = std::move(outcome.result);
+    warm_ = std::move(outcome.solution);
+    have_warm_ = true;
+    ++fit_generation_;  // the next fit starts from here
+  }
   return std::move(outcome.query);
 }
 

@@ -11,10 +11,11 @@
 // no time dependence and no thread-count dependence, and the SIMD kernel
 // layer guarantees bitwise-identical scores per process (linalg/simd.h), so
 // identical feedback sequences yield bitwise-identical aligned queries.
-// The think-time refit speculation (searcher_base.h) leans on this: a
-// speculative fit over a Snapshot() predicts the real Refit() bit for bit
-// whenever no further state change lands in between. The invariant is
-// enforced by tests/aligner_determinism_test.cc.
+// The think-time refit speculation (searcher_base.h) rests on this instead
+// of re-checking it: a Fit() over a Snapshot() taken at fit_generation() G
+// is exactly the fit Align() would run while the aligner still sits at G,
+// so Refit() adopts the speculative outcome without fitting again. The
+// invariant is enforced by tests/aligner_determinism_test.cc.
 #ifndef SEESAW_CORE_ALIGNER_H_
 #define SEESAW_CORE_ALIGNER_H_
 
@@ -41,7 +42,7 @@ struct AlignerOptions {
 
 /// Frozen copy of everything Align() reads: options, text query, the
 /// accumulated feedback (deep copy, insertion order preserved) and the warm
-/// start. A snapshot is self-contained — AlignWith(snapshot) may run on any
+/// start. A snapshot is self-contained — Fit(snapshot) may run on any
 /// thread while the live aligner keeps accumulating feedback. Cost: the
 /// examples table (num_examples x dim floats), tiny next to one store scan.
 struct AlignerSnapshot {
@@ -54,8 +55,19 @@ struct AlignerSnapshot {
   uint64_t fit_generation = 0;
 };
 
+/// One minimization outcome: the query plus the raw solver iterate that
+/// becomes the next warm start. Produced by QueryAligner::Fit, installed by
+/// QueryAligner::Adopt.
+struct FitOutcome {
+  linalg::VectorF query;
+  optim::VectorD solution;
+  optim::OptimResult result;
+  /// False when no feedback was recorded (query == q0, nothing to adopt).
+  bool ran_solver = false;
+};
+
 /// Stateful per-search aligner. Not thread-safe; one instance per session.
-/// The const snapshot path (Snapshot / AlignWith) is the exception: it never
+/// The const snapshot path (Snapshot / Fit) is the exception: it never
 /// touches mutable state, so speculative fits over snapshots may run
 /// concurrently with anything.
 class QueryAligner {
@@ -83,14 +95,16 @@ class QueryAligner {
   size_t num_negative() const { return num_negative_; }
   size_t num_examples() const { return loss_.num_examples(); }
 
-  /// Version counter of the fit-relevant state: bumped by AddFeedback,
-  /// AddSoftFeedback, Reset and set_options. Two Align() calls bracketing an
-  /// unchanged generation return bitwise-identical vectors (determinism
-  /// contract above) — the refit-speculation consume check rests on this.
+  /// Version counter of everything Fit() reads: bumped by AddFeedback,
+  /// AddSoftFeedback, Reset, set_options, and by Align()/Adopt() when they
+  /// install a new warm start. A Fit() over a snapshot taken at generation G
+  /// equals the fit Align() runs at G (determinism contract above) —
+  /// refit-speculation adoption rests on this.
   uint64_t fit_generation() const { return fit_generation_; }
 
   /// Minimizes the loss and returns the unit-normalized next query vector
-  /// q_{t+1}. With no feedback recorded, returns q0 unchanged.
+  /// q_{t+1}: Adopt(Fit(current state)). With no feedback recorded, returns
+  /// q0 unchanged.
   StatusOr<linalg::VectorF> Align();
 
   /// Clones the current fit state (cheap deep copy; see AlignerSnapshot).
@@ -100,24 +114,20 @@ class QueryAligner {
   /// run from `snapshot`'s state — same code, hence bitwise-identical output
   /// — without touching any live aligner (static: there is nothing to
   /// mutate). Safe to call from pool threads.
-  static StatusOr<linalg::VectorF> AlignWith(const AlignerSnapshot& snapshot);
+  static StatusOr<FitOutcome> Fit(const AlignerSnapshot& snapshot);
 
-  /// Statistics of the last Align() call.
+  /// Installs a fit outcome exactly as Align() does — the warm start and
+  /// last_result() when the solver ran, bumping fit_generation() — and
+  /// returns its query. Adopting Fit(Snapshot()) taken at the current
+  /// fit_generation() leaves the aligner bitwise where Align() would.
+  linalg::VectorF Adopt(FitOutcome outcome);
+
+  /// Statistics of the last fit installed by Align() or Adopt().
   const optim::OptimResult& last_result() const { return last_result_; }
 
  private:
-  /// One minimization outcome: the query plus the raw solver iterate that
-  /// Align() adopts as the next warm start.
-  struct FitOutcome {
-    linalg::VectorF query;
-    optim::VectorD solution;
-    optim::OptimResult result;
-    /// False when no feedback was recorded (query == q0, nothing to adopt).
-    bool ran_solver = false;
-  };
-
-  /// The shared fit core behind Align() and AlignWith(): a pure function of
-  /// its inputs. Keeping both entry points on one code path is what makes
+  /// The shared fit core behind Align() and Fit(snapshot): a pure function
+  /// of its inputs. Keeping both entry points on one code path is what makes
   /// the speculative fit bitwise-predictive of the real one.
   static StatusOr<FitOutcome> Fit(const AlignerOptions& options,
                                   const linalg::VectorF& q_text,

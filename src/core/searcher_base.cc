@@ -41,7 +41,7 @@ void SearcherBase::MarkSeen(uint32_t image_idx) {
   // prediction and the refit speculation can start its fit.
   if (spec_.has_value() && spec_->stage == SpecStage::kAwaitLabels &&
       --spec_->images_remaining == 0) {
-    ArmPredictedFit();
+    Arm();
   }
 }
 
@@ -107,100 +107,54 @@ std::vector<ScoredImage> SearcherBase::TopImages(linalg::VecSpan query,
                           /*cancel=*/nullptr);
 }
 
-bool SearcherBase::BeginSchedule(const std::vector<ScoredImage>& batch) {
-  // At most one speculation per searcher; a new schedule supersedes the old.
+void SearcherBase::Speculate(linalg::VecSpan query,
+                             const std::vector<ScoredImage>& batch, size_t n,
+                             FitFactory fit_factory) {
+  // At most one speculation per searcher; a new one supersedes the old.
   InvalidatePrefetch();
   std::erase_if(stale_speculations_,
                 [](const TaskHandle& handle) { return handle.done(); });
-  return prefetch_policy_.enabled && pool_ != nullptr && !batch.empty();
-}
+  if (!prefetch_ || pool_ == nullptr || batch.empty()) return;
 
-SearcherBase::Speculation SearcherBase::MakeSpeculation(
-    const std::vector<ScoredImage>& batch, size_t n, size_t* new_images) {
   auto task = std::make_shared<SpecTask>();
   task->seen_patches = seen_patches_;
   task->n = n;
-
   Speculation spec;
   spec.seen_images = seen_images_;
   // Predict the state after the user labels exactly this batch: every batch
   // image seen (one generation bump each).
-  *new_images = 0;
   for (const ScoredImage& hit : batch) {
     if (spec.seen_images.Test(hit.image_idx)) continue;
     spec.seen_images.Set(hit.image_idx);
     auto [begin, end] = embedded_->ImagePatchRange(hit.image_idx);
     for (uint32_t v = begin; v < end; ++v) task->seen_patches.Set(v);
-    ++*new_images;
+    ++spec.images_remaining;
   }
-  spec.expected_generation = generation_ + *new_images;
+  spec.expected_generation = generation_ + spec.images_remaining;
   spec.task = std::move(task);
-  return spec;
-}
-
-void SearcherBase::SchedulePrefetch(linalg::VecSpan query,
-                                    const std::vector<ScoredImage>& batch,
-                                    size_t n) {
-  if (!BeginSchedule(batch)) return;
-  if (budget_ != nullptr && !budget_->TryAcquire()) {
-    ++prefetch_stats_.throttled;
-    return;
+  if (fit_factory) {
+    if (spec.images_remaining == 0) return;  // nothing to wait for
+    // Nothing is submitted and no budget is held until the batch is fully
+    // labeled (MarkSeen arms); an abandoned prediction costs nothing.
+    spec.fit_factory = std::move(fit_factory);
+  } else {
+    spec.task->query.assign(query.begin(), query.end());
+    spec.query_known = true;  // the query is predicted not to move
   }
-
-  size_t new_images = 0;
-  Speculation spec = MakeSpeculation(batch, n, &new_images);
-  spec.stage = SpecStage::kScan;
-  spec.query_known = true;  // the query is predicted not to move
-  std::shared_ptr<SpecTask> task = spec.task;
-  task->query.assign(query.begin(), query.end());
-  task->budget = budget_;
-
-  // The task captures no pointer to this searcher: it works on the snapshot
-  // and publishes its result through the handle's completion.
-  const EmbeddedDataset* embedded = embedded_;
-  ThreadPool* pool = pool_;
-  spec.handle = pool_->SubmitWithResult([task, embedded, pool] {
-    if (!task->cancel.cancelled()) {
-      task->result =
-          ComputeTopImages(*embedded, pool, task->query, task->n,
-                           task->seen_patches, &task->cancel);
-    }
-    task->ReleaseBudgetOnce();
-  });
   ++prefetch_stats_.scheduled;
   spec_ = std::move(spec);
+  if (!spec_->fit_factory) Arm();
 }
 
-void SearcherBase::SchedulePrefetchAfterRefit(
-    const std::vector<ScoredImage>& batch, size_t n,
-    PredictedFitFactory fit_factory) {
-  if (!BeginSchedule(batch)) return;
-
-  size_t new_images = 0;
-  Speculation spec = MakeSpeculation(batch, n, &new_images);
-  if (new_images == 0) return;  // nothing to wait for; cannot arm
-  spec.stage = SpecStage::kAwaitLabels;
-  spec.images_remaining = new_images;
-  spec.fit_factory = std::move(fit_factory);
-  // Nothing is submitted and no budget is held until the batch is fully
-  // labeled (ArmPredictedFit); an abandoned prediction costs nothing.
-  ++prefetch_stats_.scheduled;
-  spec_ = std::move(spec);
-}
-
-void SearcherBase::ArmPredictedFit() {
+void SearcherBase::Arm() {
   SEESAW_CHECK(spec_.has_value());
   SEESAW_CHECK(spec_->stage == SpecStage::kAwaitLabels);
-  // Submission was deferred from schedule time to now, so re-validate the
-  // preconditions BeginSchedule checked then: the driver may have detached
-  // the pool or disabled the policy in between.
-  if (pool_ == nullptr || !prefetch_policy_.enabled) {
-    spec_.reset();
-    ++prefetch_stats_.invalidated;
+  // A fit speculation arms long after Speculate checked these, and the
+  // driver may have detached the pool or switched prefetch off since.
+  if (pool_ == nullptr || !prefetch_) {
+    InvalidatePrefetch();
     return;
   }
-  // The fit burns a worker's CPU, so it is what the shared budget meters:
-  // charge the slot here, not at schedule time.
   if (budget_ != nullptr && !budget_->TryAcquire()) {
     ++prefetch_stats_.throttled;
     spec_.reset();  // nothing running, nothing to cancel
@@ -208,89 +162,71 @@ void SearcherBase::ArmPredictedFit() {
   }
   std::shared_ptr<SpecTask> task = spec_->task;
   task->budget = budget_;
-  // Clone the fit state on this (the searcher's) thread, while it is
-  // consistent; the resulting closure owns the clone outright.
-  task->fit = spec_->fit_factory();
-  spec_->fit_factory = nullptr;
-
-  // Stage 1: the speculative fit. Publishes the predicted post-refit query
-  // into the task; readers order themselves after it via fit_handle.Wait().
-  spec_->fit_handle = pool_->SubmitWithResult([task] {
-    if (!task->cancel.cancelled()) {
-      if (std::optional<linalg::VectorF> q = task->fit()) {
-        task->query = *std::move(q);
-        task->fit_ok = true;
+  // The tasks capture no pointer to this searcher: they work on the
+  // snapshot and publish through the handles' completion.
+  if (spec_->fit_factory) {
+    // Clone the fit state on this (the searcher's) thread, while it is
+    // consistent; the task owns the clone outright.
+    task->fit_state = spec_->fit_factory();
+    spec_->fit_generation = task->fit_state->fit_generation;
+    spec_->fit_factory = nullptr;
+    spec_->fit_handle = pool_->SubmitWithResult([task] {
+      if (!task->cancel.cancelled()) {
+        StatusOr<FitOutcome> outcome = QueryAligner::Fit(*task->fit_state);
+        if (outcome.ok()) {
+          task->query = outcome->query;
+          task->fitted = *std::move(outcome);
+        }
       }
-    }
-    // Drop the closure (and the cloned aligner snapshot inside it — the
-    // whole accumulated-feedback table) as soon as the query is published,
-    // not when the speculation is eventually consumed or drained.
-    task->fit = nullptr;
-  });
-  // Stage 2: the scan with the predicted query. Waiting on the fit handle
-  // from a pool task is safe (the waiter helps drain the queue).
+      // Drop the clone (the whole accumulated-feedback table) as soon as
+      // the fit is done, not when the speculation is consumed or drained.
+      task->fit_state.reset();
+    });
+    // All predicted labels have landed, so the live generation is exactly
+    // the predicted one.
+    SEESAW_CHECK_EQ(spec_->expected_generation, generation_);
+    ++prefetch_stats_.refit_fits;
+  }
+  // Waiting on the fit handle from a pool task is safe (the waiter helps
+  // drain the queue).
   TaskHandle fit_handle = spec_->fit_handle;
   const EmbeddedDataset* embedded = embedded_;
   ThreadPool* pool = pool_;
   spec_->handle =
       pool_->SubmitWithResult([task, fit_handle, embedded, pool]() mutable {
-        fit_handle.Wait();
-        if (task->fit_ok && !task->cancel.cancelled()) {
+        if (fit_handle.valid()) fit_handle.Wait();
+        if (!task->query.empty() && !task->cancel.cancelled()) {
           task->result =
               ComputeTopImages(*embedded, pool, task->query, task->n,
                                task->seen_patches, &task->cancel);
         }
         task->ReleaseBudgetOnce();
       });
-  spec_->stage = SpecStage::kFitScan;
-  // All predicted labels have landed, so the live generation is exactly the
-  // predicted one; the only bump still to come is the refit's own.
-  SEESAW_CHECK_EQ(spec_->expected_generation, generation_);
-  ++prefetch_stats_.refit_fits;
+  spec_->stage = SpecStage::kRunning;
 }
 
-void SearcherBase::CommitRefit(linalg::VecSpan refit_query, bool query_moved) {
-  if (query_moved) ++generation_;
-  if (!spec_.has_value()) return;
-  switch (spec_->stage) {
-    case SpecStage::kScan:
-      // A same-query speculation only survives a refit that left the query
-      // bitwise unchanged.
-      if (query_moved) InvalidatePrefetch();
-      return;
-    case SpecStage::kAwaitLabels:
-      // The refit arrived before the predicted batch was fully labeled
-      // (partial labels). A moved query falsifies the prediction outright; an
-      // unmoved one keeps the pending speculation plausible — the remaining
-      // labels may still arrive.
-      if (query_moved) InvalidatePrefetch();
-      return;
-    case SpecStage::kFitScan:
-      break;
+std::optional<FitOutcome> SearcherBase::TakeArmedFit(uint64_t fit_generation) {
+  if (spec_.has_value() && spec_->fit_handle.valid() &&
+      spec_->fit_generation == fit_generation) {
+    // Wait for the fit stage only (the scan keeps running); during real
+    // think time this returns immediately. The wait orders this thread
+    // after the fit task's writes.
+    spec_->fit_handle.Wait();
+    if (std::optional<FitOutcome> fitted =
+            std::exchange(spec_->task->fitted, std::nullopt)) {
+      // The aligner still sits at the cloned state, so this is the fit
+      // Refit() would run (determinism contract) and the scan is exactly
+      // the lookup the next NextBatch wants.
+      spec_->query_known = true;
+      ++prefetch_stats_.refit_adopted;
+      return fitted;
+    }
   }
-  // Wait for the fit stage only (the scan keeps running); during real think
-  // time this returns immediately. The wait orders this thread after the
-  // fit task's writes.
-  spec_->fit_handle.Wait();
-  const linalg::VectorF& predicted = spec_->task->query;
-  bool match = spec_->task->fit_ok &&
-               predicted.size() == refit_query.size() &&
-               std::equal(refit_query.begin(), refit_query.end(),
-                          predicted.begin());
-  if (!match) {
-    // The session state moved between arm and refit (extra soft feedback,
-    // changed aligner options, duplicate labels, ...), or the fit failed:
-    // the scan is running against the wrong query. Cancel it mid-scan.
-    ++prefetch_stats_.refit_mismatches;
-    InvalidatePrefetch();
-    return;
-  }
-  // Blessed: the refit landed on the predicted bits, so the speculative scan
-  // is exactly the lookup the next NextBatch wants. Re-key the speculation
-  // to the post-refit generation and let TakePrefetched compare the query.
-  spec_->expected_generation = generation_;
-  spec_->query_known = true;
-  ++prefetch_stats_.refit_matches;
+  // Partial labels, fit state changed since the clone (extra soft
+  // feedback, changed options, duplicate labels), a failed fit, or a fit
+  // already adopted: the scan would run against the wrong query.
+  InvalidatePrefetch();
+  return std::nullopt;
 }
 
 std::optional<std::vector<ScoredImage>> SearcherBase::TakePrefetched(
@@ -299,8 +235,8 @@ std::optional<std::vector<ScoredImage>> SearcherBase::TakePrefetched(
   Speculation spec = std::move(*spec_);
   spec_.reset();
 
-  // query_known gates the bit compare: an unblessed kFitScan task may still
-  // be writing its predicted query, and a kAwaitLabels one has none at all.
+  // query_known gates the bit compare: an unadopted fit task may still be
+  // writing its query, and a kAwaitLabels speculation has none at all.
   bool valid = spec.query_known &&
                spec.expected_generation == generation_ && spec.task->n == n;
   if (valid) {
@@ -321,7 +257,7 @@ std::optional<std::vector<ScoredImage>> SearcherBase::TakePrefetched(
     return std::nullopt;
   }
   ++prefetch_stats_.hits;
-  if (spec.stage == SpecStage::kFitScan) ++prefetch_stats_.hits_post_refit;
+  if (spec.fit_handle.valid()) ++prefetch_stats_.hits_post_refit;
   return std::move(spec.task->result);
 }
 

@@ -1,7 +1,8 @@
 // Shared machinery for vector-query searchers: seen-image bookkeeping,
 // max-pooled image ranking over the patch store, mapping of box feedback to
 // patch labels (§4.3), and think-time speculative prefetch of the next
-// batch — including speculation *through* a query-moving refit.
+// batch — including speculation *through* a query-moving refit, whose fit
+// the real refit adopts.
 #ifndef SEESAW_CORE_SEARCHER_BASE_H_
 #define SEESAW_CORE_SEARCHER_BASE_H_
 
@@ -16,6 +17,7 @@
 #include "common/aligned.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "core/aligner.h"
 #include "core/embedded_dataset.h"
 #include "core/searcher.h"
 #include "store/seen_set.h"
@@ -26,39 +28,6 @@ namespace seesaw::core {
 struct PatchLabel {
   uint32_t vec_id = 0;
   bool positive = false;
-};
-
-/// Think-time speculation policy (SeeSawOptions::prefetch).
-///
-/// When enabled, a searcher with a thread pool overlaps the next batch's
-/// lookup with the user's inspection time. Two speculation shapes exist:
-///
-///  - Same-query (zero-shot paging): the scan launches right after NextBatch
-///    with the current query, predicting the user labels exactly the
-///    returned batch and the refit leaves the query unchanged.
-///  - Through-the-refit (the full seesaw loop): the speculation first waits
-///    for the predicted batch to be fully labeled, then runs the *aligner*
-///    speculatively on the feedback received (a cloned snapshot, so the live
-///    session is never touched) and launches the scan with the predicted
-///    post-refit query. The real Refit() consumes the fit when its aligned
-///    vector is bitwise identical to the prediction.
-///
-/// Any deviation — feedback outside the predicted batch, extra soft
-/// feedback, changed aligner options, a refit landing on different bits —
-/// cancels the speculation (mid-scan, via store::ScanControl) and NextBatch
-/// recomputes synchronously, so results are bitwise identical to the
-/// non-speculative path in all cases.
-struct PrefetchPolicy {
-  bool enabled = false;
-  /// Maximum speculations in flight across all sessions sharing one
-  /// PrefetchBudget; 0 = unlimited. A slot covers the whole speculative
-  /// pipeline — including the aligner fit, which burns CPU unlike a pure
-  /// scan — so a fleet of idle sessions can neither starve foreground
-  /// lookups nor soak the pool in background fits. Read only by the budget's
-  /// owner when sizing it (SessionManager, from the service-level policy);
-  /// searchers themselves consult just `enabled` and are uncapped unless
-  /// handed a budget via set_prefetch_budget.
-  size_t max_in_flight = 2;
 };
 
 /// Shared in-flight speculation counter for the sessions of one manager.
@@ -123,13 +92,10 @@ struct PrefetchStats {
   size_t throttled = 0;    ///< Speculations skipped: shared budget exhausted.
   // Through-the-refit accounting (zero for same-query speculations):
   size_t refit_fits = 0;       ///< Speculative aligner fits launched.
-  size_t refit_matches = 0;    ///< Refits landing bitwise on the predicted
-                               ///< query (the speculative scan survives).
-  size_t refit_mismatches = 0; ///< Armed fits discarded at refit time (state
-                               ///< diverged between arm and Refit, or the
-                               ///< speculative fit failed).
+  size_t refit_adopted = 0;    ///< Refits that adopted the speculative fit
+                               ///< instead of fitting again.
   size_t hits_post_refit = 0;  ///< Subset of `hits` whose scan ran with a
-                               ///< predicted post-refit query.
+                               ///< speculatively fitted query.
 };
 
 /// Base class holding the embedded dataset and the seen sets.
@@ -138,29 +104,39 @@ struct PrefetchStats {
 /// the interaction loop, and per patch vector so the store scan tests a
 /// reusable bitset instead of rebuilding an exclusion closure every batch.
 ///
+/// Think-time speculation: with prefetch enabled and a thread pool, the next
+/// batch's lookup overlaps the user's inspection time. Speculate() predicts
+/// that the user labels exactly the batch just returned. For a searcher
+/// whose query never moves (zero-shot) the scan launches at once with the
+/// current query. For one that refits, the speculation waits until the batch
+/// is fully labeled, clones the aligner state, and runs fit → scan on the
+/// pool; Refit() then adopts that fit instead of running its own (aligner
+/// determinism contract, core/aligner.h), so each round fits once.
+///
 /// Threading: the searcher itself stays single-threaded (one user drives one
 /// session). Speculative tasks never touch the searcher — they work on
 /// snapshot copies of the query, the seen sets and (for refit speculation)
 /// the aligner state, and only meet the searcher again through TaskHandles,
 /// so feedback can mutate the live state while a speculation is in flight.
 ///
-/// Refit-speculation state machine (one speculation at a time):
+/// Speculation state machine (one speculation at a time):
 ///
-///   NextBatch ── same-query policy ──▶ [kScan: scan(current query)]
-///       │
-///       └── refit policy ──▶ [kAwaitLabels]
-///                                │ last predicted image labeled ("armed")
-///                                ▼
-///                     [kFitScan: fit(cloned aligner) → scan(predicted q)]
-///                                │ Refit(): aligned == predicted (bitwise)
-///                                ▼
-///                     [blessed: consumable by the next NextBatch]
+///   Speculate, no fit factory ───────────────▶ [kRunning: scan(query)]
+///   Speculate, fit factory ──▶ [kAwaitLabels]
+///                                  │ last predicted image labeled: Arm()
+///                                  ▼
+///                    [kRunning: fit(clone) → scan(fitted query)]
+///                                  │ Refit() at the clone's fit generation
+///                                  ▼
+///                    [adopted: Refit took the fit; the next NextBatch
+///                     consumes the scan]
 ///
-/// Exits from every state: feedback outside the predicted batch, a refit
-/// whose query lands on different bits, a changed lookup (n / query /
-/// generation) at consume time — each cancels the speculation (the token
-/// stops the scan at its next in-scan checkpoint) and the caller recomputes
-/// synchronously.
+/// Exits from every state: feedback outside the predicted batch, a Refit()
+/// at any other fit generation (or after a failed fit), a changed lookup
+/// (n / query / seen set) at consume time — each cancels the speculation
+/// (the token stops the scan at its next in-scan checkpoint) and the caller
+/// recomputes synchronously, so results are bitwise identical to the
+/// non-speculative path in all cases.
 class SearcherBase : public Searcher {
  public:
   explicit SearcherBase(const EmbeddedDataset& embedded);
@@ -179,35 +155,28 @@ class SearcherBase : public Searcher {
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
 
-  /// Speculation policy; subclasses opt in by calling SchedulePrefetch /
-  /// SchedulePrefetchAfterRefit / TakePrefetched from their NextBatch.
-  void set_prefetch_policy(const PrefetchPolicy& policy) {
-    prefetch_policy_ = policy;
-  }
-  const PrefetchPolicy& prefetch_policy() const { return prefetch_policy_; }
+  /// Think-time speculation switch (off by default; needs a thread pool).
+  /// Subclasses opt in by calling Speculate / TakePrefetched from NextBatch
+  /// and TakeArmedFit from Refit.
+  void set_prefetch(bool enabled) { prefetch_ = enabled; }
 
   /// Optional cross-session in-flight cap (owned by the SessionManager; must
   /// outlive every queued speculation, which the manager guarantees by
-  /// joining its pool first).
+  /// joining its pool first). A slot covers a whole speculation, fit stage
+  /// included; without a budget a searcher speculates uncapped.
   void set_prefetch_budget(PrefetchBudget* budget) { budget_ = budget; }
 
   const PrefetchStats& prefetch_stats() const { return prefetch_stats_; }
 
  protected:
-  /// A speculative aligner fit: produces the predicted post-refit query on a
-  /// pool thread, or nullopt when the fit fails (speculation aborted). Must
-  /// be self-contained — it closes over cloned state only, never the
-  /// searcher or its aligner.
-  using PredictedFit = std::function<std::optional<linalg::VectorF>()>;
-
   /// Invoked on the searcher's thread at arm time — the moment the predicted
-  /// batch becomes fully labeled — to clone the session's fit state (e.g.
-  /// QueryAligner::Snapshot) into a self-contained PredictedFit.
-  using PredictedFitFactory = std::function<PredictedFit()>;
+  /// batch becomes fully labeled — to clone the session's fit state
+  /// (QueryAligner::Snapshot). The clone is fitted on a pool thread.
+  using FitFactory = std::function<AlignerSnapshot()>;
 
   /// Marks an image (and all of its patch vectors) as shown/labeled.
   /// Invalidates an in-flight speculation when the image deviates from the
-  /// predicted batch; arms a pending refit speculation when it completes it.
+  /// predicted batch; arms a waiting speculation when it completes it.
   void MarkSeen(uint32_t image_idx);
 
   /// Top-n unseen images by max patch score under `query` (best first).
@@ -215,33 +184,24 @@ class SearcherBase : public Searcher {
   /// found or the store is exhausted.
   std::vector<ScoredImage> TopImages(linalg::VecSpan query, size_t n) const;
 
-  /// Schedules a same-query speculative TopImages for the *next* batch on
-  /// the pool: same query and n, seen sets snapshotted as if every image of
-  /// `batch` had been labeled. For searchers whose refit never moves the
-  /// query (zero-shot). No-op when the policy is off, the pool is null, the
-  /// batch is empty (store exhausted), or the shared budget is spent.
-  void SchedulePrefetch(linalg::VecSpan query,
-                        const std::vector<ScoredImage>& batch, size_t n);
+  /// Speculates the *next* batch's TopImages: same n, seen sets snapshotted
+  /// as if every image of `batch` had been labeled. Supersedes any earlier
+  /// speculation. With an empty `fit_factory` the query is predicted not to
+  /// move and the scan of `query` launches now. Otherwise `query` is unused:
+  /// the speculation idles until every image of `batch` has been labeled,
+  /// then `fit_factory` clones the fit state and fit → scan launches. The
+  /// shared budget is charged at launch, when CPU is about to burn. No-op
+  /// when prefetch is off, the pool is null, or the batch is empty (store
+  /// exhausted).
+  void Speculate(linalg::VecSpan query, const std::vector<ScoredImage>& batch,
+                 size_t n, FitFactory fit_factory = nullptr);
 
-  /// Schedules a through-the-refit speculation: the same seen-set prediction
-  /// as SchedulePrefetch, but the scan query is unknown until the aligner
-  /// runs. The speculation idles (kAwaitLabels) until every image of `batch`
-  /// has been labeled; at that moment `fit_factory` clones the fit state on
-  /// the searcher's thread, the shared budget is charged, and a fit → scan
-  /// pipeline launches on the pool. CommitRefit later decides consume vs
-  /// cancel. No-op under the same conditions as SchedulePrefetch (the budget
-  /// is checked at arm time, when CPU is actually about to burn).
-  void SchedulePrefetchAfterRefit(const std::vector<ScoredImage>& batch,
-                                  size_t n, PredictedFitFactory fit_factory);
-
-  /// Subclasses call this from Refit() with the freshly aligned query after
-  /// updating their live query vector (`query_moved` = the vector changed
-  /// bitwise). Bumps the lookup generation on a move, and reconciles any
-  /// armed refit speculation: waits for the speculative fit (not the scan),
-  /// compares bitwise, and either blesses the speculation to survive the
-  /// query move — the next NextBatch can then consume its scan — or cancels
-  /// it. Safe to call with no speculation pending (plain generation bump).
-  void CommitRefit(linalg::VecSpan refit_query, bool query_moved);
+  /// Refit()'s half of a speculation. When the armed speculation cloned the
+  /// fit state at `fit_generation` and its fit succeeded, waits for the fit
+  /// stage only (the scan keeps running) and hands over the outcome for
+  /// QueryAligner::Adopt; the speculation stays consumable. Otherwise
+  /// cancels any speculation and returns nullopt: the caller fits itself.
+  std::optional<FitOutcome> TakeArmedFit(uint64_t fit_generation);
 
   /// Consumes the speculation if it exactly matches the requested lookup
   /// (generation, query bits, n, and the live seen set all unchanged from
@@ -265,11 +225,9 @@ class SearcherBase : public Searcher {
  private:
   /// Lifecycle of the single speculation slot (see the class comment).
   enum class SpecStage {
-    kScan,         ///< Scan in flight with a known (unmoved) query.
     kAwaitLabels,  ///< Refit speculation waiting for the batch's labels;
                    ///< nothing submitted, no budget held.
-    kFitScan,      ///< Fit → scan pipeline in flight with the predicted
-                   ///< post-refit query.
+    kRunning,      ///< Scan (after the fit, if any) submitted to the pool.
   };
 
   /// Everything a speculative task reads or writes, shared between the
@@ -281,28 +239,30 @@ class SearcherBase : public Searcher {
   /// read is ordered after that writer by a TaskHandle wait (whose
   /// completion is published under the handle's mutex with release/acquire
   /// semantics — see TaskHandle::State::done). Concretely:
-  ///  - query/n/seen_patches: written on the searcher's thread before the
-  ///    task is submitted (Submit's queue mutex orders the hand-off); for a
-  ///    kFitScan speculation, `query` is re-written by the fit task and only
-  ///    read after fit_handle.Wait().
-  ///  - fit_ok: written by the fit task, read after fit_handle.Wait().
+  ///  - query/n/seen_patches/fit_state: written on the searcher's thread
+  ///    before the task is submitted (Submit's queue mutex orders the
+  ///    hand-off). With a fit stage, `query` is instead written by the fit
+  ///    task, which also drops fit_state; both are read only after
+  ///    fit_handle.Wait().
+  ///  - fitted: written by the fit task; read, and moved out, on the
+  ///    searcher's thread after fit_handle.Wait(). The scan task never
+  ///    touches it (it reads `query`), so adoption cannot race the scan.
   ///  - result: written by the scan task, read after handle.Wait().
   ///  - cancel / budget_released: atomics; safe from any thread at any time.
   /// The thread-safety analysis cannot check handle-ordered hand-offs (it
   /// only knows capabilities), which is exactly why this struct keeps the
   /// explicit per-field contract above and the TSan leg keeps running.
   struct SpecTask {
-    linalg::VectorF query;        // lookup query: snapshotted at schedule for
-                                  // kScan; written by the fit task for
-                                  // kFitScan (read only after its handle)
+    linalg::VectorF query;        // lookup query: copied at Speculate, or
+                                  // written by the fit task (empty when the
+                                  // fit failed: the scan is skipped)
     store::SeenSet seen_patches;  // snapshot incl. the predicted batch
     size_t n = 0;
     CancellationToken cancel;
     std::vector<ScoredImage> result;  // written by the scan task, read after
                                       // Wait
-    PredictedFit fit;      // set at arm time (kFitScan only)
-    bool fit_ok = false;   // written by the fit task before its handle
-                           // completes; read after fit_handle.Wait()
+    std::optional<AlignerSnapshot> fit_state;  // cloned at arm (fit only)
+    std::optional<FitOutcome> fitted;  // the fit task's successful outcome
 
     /// Returns the budget slot exactly once: at task completion, or eagerly
     /// at cancellation so a cancelled-but-still-queued task doesn't hold a
@@ -321,25 +281,26 @@ class SearcherBase : public Searcher {
   /// The searcher-side view of the single speculation slot. Every field is
   /// read and written on the searcher's thread only (one user drives one
   /// session — the class contract); pool tasks see none of this, only the
-  /// shared SpecTask above. Stage transitions (kScan / kAwaitLabels →
-  /// kFitScan → blessed) therefore need no lock: they are ordinary
-  /// single-threaded writes, and the cross-thread edges all run through
-  /// `task` and the two handles.
+  /// shared SpecTask above. Stage transitions (kAwaitLabels → kRunning →
+  /// adopted) therefore need no lock: they are ordinary single-threaded
+  /// writes, and the cross-thread edges all run through `task` and the two
+  /// handles.
   struct Speculation {
     std::shared_ptr<SpecTask> task;
     store::SeenSet seen_images;  // predicted image-level seen set
     uint64_t expected_generation = 0;
-    SpecStage stage = SpecStage::kScan;
+    SpecStage stage = SpecStage::kAwaitLabels;
     /// Whether task->query is published and safe to read/compare on the
-    /// searcher's thread: true from the start for kScan, true after
-    /// CommitRefit blessed a kFitScan speculation (its fit handle was
-    /// waited, which orders the fit task's write).
+    /// searcher's thread: true from the start without a fit stage, true
+    /// once TakeArmedFit adopted the fit (its fit handle was waited, which
+    /// orders the fit task's write).
     bool query_known = false;
     /// Predicted-batch images not yet labeled (kAwaitLabels arming counter).
     size_t images_remaining = 0;
-    PredictedFitFactory fit_factory;  // kAwaitLabels only
-    TaskHandle fit_handle;  // kFitScan: the fit stage
-    TaskHandle handle;      // the scan (kScan, or kFitScan after the fit)
+    FitFactory fit_factory;  // empty = no fit stage
+    uint64_t fit_generation = 0;  // of the cloned fit state (set at Arm)
+    TaskHandle fit_handle;  // the fit stage, when there is one
+    TaskHandle handle;      // the scan (after the fit, if any)
   };
 
   /// The pure lookup: like TopImages but over explicit inputs only, so it
@@ -350,21 +311,10 @@ class SearcherBase : public Searcher {
       size_t n, const store::SeenSet& seen_patches,
       const CancellationToken* cancel);
 
-  /// Shared head of both Schedule entry points: supersedes the current
-  /// speculation and prunes finished stale handles. Returns false when the
-  /// policy/pool/batch preconditions rule speculation out.
-  bool BeginSchedule(const std::vector<ScoredImage>& batch);
-
-  /// Builds the shared speculation skeleton: the task snapshot (seen patches
-  /// + predicted batch patches), the predicted image seen set, and the
-  /// number of genuinely new images in the batch.
-  Speculation MakeSpeculation(const std::vector<ScoredImage>& batch, size_t n,
-                              size_t* new_images);
-
-  /// kAwaitLabels → kFitScan: clones the fit state via the factory (on the
-  /// calling = searcher's thread), charges the budget, and launches the
-  /// fit → scan pipeline.
-  void ArmPredictedFit();
+  /// kAwaitLabels → kRunning: charges the budget, clones the fit state via
+  /// the factory (on the calling = searcher's thread) when there is one, and
+  /// submits the fit (if any) and the scan to the pool.
+  void Arm();
 
   /// Cancels the speculation's tasks (if any), returns its budget slot and
   /// parks its handles for the destructor to drain.
@@ -375,18 +325,19 @@ class SearcherBase : public Searcher {
   store::SeenSet seen_patches_;  // over patch vector ids, fed to the store
   ThreadPool* pool_ = nullptr;
 
-  PrefetchPolicy prefetch_policy_;
+  bool prefetch_ = false;
   PrefetchBudget* budget_ = nullptr;
   PrefetchStats prefetch_stats_;
-  /// Bumped by every state change that can affect a lookup (MarkSeen, query
-  /// moves committed via CommitRefit); a speculation predicts the generation
-  /// at its consume point.
+  /// Bumped by every newly seen image (MarkSeen); a speculation predicts the
+  /// generation at its consume point. Query moves need no bump: a query
+  /// speculation either adopts the fit (same query) or is cancelled, and
+  /// TakePrefetched compares the query bits anyway.
   uint64_t generation_ = 0;
   std::optional<Speculation> spec_;
   /// Handles of cancelled speculations that may still be running a scan
   /// round. Kept so the destructor can drain them: a task must never
   /// outlive its searcher, or it could submit nested pool work while the
-  /// pool is shutting down. Pruned of finished handles on each schedule.
+  /// pool is shutting down. Pruned of finished handles on each Speculate.
   std::vector<TaskHandle> stale_speculations_;
 };
 

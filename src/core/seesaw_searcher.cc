@@ -9,7 +9,7 @@ SeeSawSearcher::SeeSawSearcher(const EmbeddedDataset& embedded,
                                const SeeSawOptions& options)
     : SearcherBase(embedded), options_(options), query_(q_text) {
   SEESAW_CHECK_EQ(q_text.size(), embedded.dim());
-  set_prefetch_policy(options_.prefetch);
+  set_prefetch(options_.prefetch);
   aligner_ = std::make_unique<QueryAligner>(options_.aligner,
                                             std::move(q_text), embedded.md());
 }
@@ -32,25 +32,13 @@ std::vector<ScoredImage> SeeSawSearcher::NextBatch(size_t n) {
   // Overlap the next lookup with the user's think time. Zero-shot never
   // moves the query, so the scan can start now; the query-updating variants
   // speculate through the refit instead — once this batch is fully labeled,
-  // the aligner runs on a cloned snapshot of the feedback received and the
-  // scan launches with the predicted post-refit query.
-  if (!options_.update_query) {
-    SchedulePrefetch(linalg::VecSpan(query_), batch, n);
-  } else {
-    SchedulePrefetchAfterRefit(batch, n, [this] {
-      // Arm time, searcher thread: clone the fit state while it is
-      // consistent. The returned closure owns the snapshot outright and
-      // never touches the live aligner (AlignWith is const/static), so the
-      // session can keep accumulating feedback while the fit runs.
-      auto snapshot =
-          std::make_shared<AlignerSnapshot>(aligner_->Snapshot());
-      return PredictedFit([snapshot]() -> std::optional<linalg::VectorF> {
-        auto aligned = QueryAligner::AlignWith(*snapshot);
-        if (!aligned.ok()) return std::nullopt;
-        return *std::move(aligned);
-      });
-    });
+  // the aligner state is cloned (on this thread, while it is consistent),
+  // fitted on the pool, and the scan launches with the fitted query.
+  FitFactory fit_factory;
+  if (options_.update_query) {
+    fit_factory = [this] { return aligner_->Snapshot(); };
   }
+  Speculate(linalg::VecSpan(query_), batch, n, std::move(fit_factory));
   return batch;
 }
 
@@ -76,14 +64,15 @@ Status SeeSawSearcher::Refit() {
       aligner_->fit_generation() == refitted_generation_) {
     return Status::OK();
   }
-  SEESAW_ASSIGN_OR_RETURN(linalg::VectorF aligned, aligner_->Align());
-  const bool moved = aligned != query_;
-  if (moved) query_ = std::move(aligned);
-  // Reconcile the refit with any speculation: a same-query speculation
-  // survives only an unmoved query; a speculative refit survives exactly
-  // when this refit landed bitwise on its predicted query (in which case the
-  // background scan is already computing the next batch).
-  CommitRefit(linalg::VecSpan(query_), moved);
+  // A speculation armed at this very fit state already ran the fit (and is
+  // scanning with its query): adopt it. Anything else is cancelled, and the
+  // refit runs here.
+  if (std::optional<FitOutcome> fitted =
+          TakeArmedFit(aligner_->fit_generation())) {
+    query_ = aligner_->Adopt(*std::move(fitted));
+  } else {
+    SEESAW_ASSIGN_OR_RETURN(query_, aligner_->Align());
+  }
   refitted_generation_ = aligner_->fit_generation();
   return Status::OK();
 }

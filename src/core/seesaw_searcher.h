@@ -24,13 +24,14 @@ struct SeeSawOptions {
   /// When false the query vector is never updated (zero-shot behaviour).
   bool update_query = true;
   /// Think-time speculative prefetch of the next batch (needs a thread
-  /// pool; see PrefetchPolicy). Zero-shot variants speculate with the
-  /// current query; query-updating variants speculate *through* the refit —
-  /// once the shown batch is fully labeled, the aligner runs speculatively
-  /// on a cloned snapshot and the scan launches with the predicted
-  /// post-refit query. Results stay bitwise identical to the synchronous
-  /// path whether speculation hits or not.
-  PrefetchPolicy prefetch;
+  /// pool; see SearcherBase). Zero-shot variants speculate with the current
+  /// query; query-updating variants speculate *through* the refit — once the
+  /// shown batch is fully labeled, the aligner state is cloned and fitted on
+  /// the pool and the scan launches with the fitted query, and Refit()
+  /// adopts that fit instead of fitting again. Results stay bitwise
+  /// identical to the synchronous path whether speculation hits or not.
+  /// Managed sessions share their SessionManager's in-flight cap.
+  bool prefetch = false;
   /// Method name override for reports; empty = derived from flags.
   std::string label;
 };
@@ -67,9 +68,10 @@ class SeeSawSearcher : public SearcherBase {
 
   /// Mutable aligner access for advanced drivers (soft feedback from a
   /// propagation front end, mid-session hyper-parameter changes). Any
-  /// mutation counts as new fit state: an armed refit speculation based on
-  /// the old state is discarded at the next Refit() (bitwise compare), never
-  /// consumed.
+  /// mutation counts as new fit state: an armed refit speculation cloned
+  /// from the old state is discarded at the next Refit() (its fit generation
+  /// no longer matches), never adopted. A direct Align() counts too: it
+  /// moves the warm start.
   QueryAligner& mutable_aligner() { return *aligner_; }
 
  private:

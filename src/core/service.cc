@@ -90,8 +90,7 @@ SessionManager& SeeSawService::sessions() {
   MutexLock lock(*sessions_mu_);
   if (!sessions_) {
     sessions_ = std::make_unique<SessionManager>(
-        *this, options_.session_threads, options_.search.prefetch,
-        options_.session_limits);
+        *this, options_.session_threads, options_.session_limits);
   }
   return *sessions_;
 }

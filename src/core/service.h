@@ -42,8 +42,9 @@ struct SessionLimits {
 };
 
 /// Service configuration: preprocessing plus per-session search options.
-/// `search.prefetch` doubles as the manager-wide speculation policy: its
-/// max_in_flight caps think-time prefetches across all managed sessions.
+/// With `search.prefetch` on, managed sessions speculate during think time,
+/// at most SessionManager::kMaxSpeculationsInFlight at once across all of
+/// them.
 struct ServiceOptions {
   PreprocessOptions preprocess;
   SeeSawOptions search;

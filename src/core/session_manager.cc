@@ -7,12 +7,10 @@ namespace seesaw::core {
 
 SessionManager::SessionManager(const SeeSawService& service,
                                size_t num_threads,
-                               const PrefetchPolicy& prefetch,
                                const SessionLimits& limits)
     : service_(&service),
-      prefetch_policy_(prefetch),
       limits_(limits),
-      budget_(prefetch.max_in_flight),
+      budget_(kMaxSpeculationsInFlight),
       pool_(num_threads == 0 ? ThreadPool::DefaultThreads() : num_threads) {}
 
 int64_t SessionManager::NowNs() const {
@@ -171,14 +169,6 @@ void SessionManager::ReleaseUserSlot(const std::string& user) {
   auto it = user_sessions_.find(user);
   if (it == user_sessions_.end()) return;
   if (--it->second == 0) user_sessions_.erase(it);
-}
-
-std::vector<SessionId> SessionManager::LiveSessions() const {
-  MutexLock lock(mu_);
-  std::vector<SessionId> ids;
-  ids.reserve(sessions_.size());
-  for (const auto& [id, _] : sessions_) ids.push_back(id);
-  return ids;
 }
 
 size_t SessionManager::num_sessions() const {

@@ -143,19 +143,19 @@ class SessionLease {
 /// Mutex-guarded registry of live sessions sharing one worker pool.
 class SessionManager {
  public:
+  /// Think-time speculations in flight across *all* sessions of one
+  /// manager, so idle sessions cannot starve foreground lookups on the
+  /// shared pool. A slot covers a session's whole speculative pipeline —
+  /// including the speculative aligner *fit*, which burns a worker's CPU
+  /// outright (a pure scan mostly contends for memory bandwidth) — so the
+  /// cap bounds background compute, not just background scans.
+  static constexpr size_t kMaxSpeculationsInFlight = 2;
+
   /// `service` must outlive the manager. `num_threads` sizes the shared
-  /// lookup pool (0 = hardware default). `prefetch` is the think-time
-  /// speculation policy applied to managed sessions; its max_in_flight caps
-  /// concurrent speculations across *all* sessions of this manager so idle
-  /// sessions cannot starve foreground lookups on the shared pool. A budget
-  /// slot covers a session's whole speculative pipeline — including the
-  /// speculative aligner *fit* of a refit speculation, which burns a
-  /// worker's CPU outright (a pure scan mostly contends for memory
-  /// bandwidth) — so the cap bounds background compute, not just background
-  /// scans. `limits` is the lifecycle/admission policy (defaults: no quota,
-  /// no TTL, no in-flight cap).
+  /// lookup pool (0 = hardware default). Sessions speculate when the
+  /// service's `search.prefetch` is on. `limits` is the lifecycle/admission
+  /// policy (defaults: no quota, no TTL, no in-flight cap).
   explicit SessionManager(const SeeSawService& service, size_t num_threads = 0,
-                          const PrefetchPolicy& prefetch = {},
                           const SessionLimits& limits = {});
 
   SessionManager(const SessionManager&) = delete;
@@ -204,9 +204,6 @@ class SessionManager {
   /// one drops.
   Status Close(SessionId id) SEESAW_EXCLUDES(mu_);
 
-  /// Ids of all live sessions (snapshot, unordered).
-  std::vector<SessionId> LiveSessions() const SEESAW_EXCLUDES(mu_);
-
   size_t num_sessions() const SEESAW_EXCLUDES(mu_);
 
   /// Live sessions registered under `user` (quota diagnostics).
@@ -224,9 +221,6 @@ class SessionManager {
   /// Speculations (fit and/or scan stages) currently in flight across all
   /// sessions (diagnostics).
   size_t prefetches_in_flight() const { return budget_.in_flight(); }
-
-  /// The manager-wide speculation policy its sessions were registered under.
-  const PrefetchPolicy& prefetch_policy() const { return prefetch_policy_; }
 
   /// Overrides the idle clock (monotonic nanoseconds) so TTL tests are
   /// deterministic instead of sleep-based. Pass nullptr to restore the
@@ -259,7 +253,6 @@ class SessionManager {
   void RebindService(const SeeSawService* service) { service_ = service; }
 
   const SeeSawService* service_;
-  PrefetchPolicy prefetch_policy_;
   SessionLimits limits_;
   // Declared before the pool: the pool's destructor drains queued
   // speculations, which release budget slots, so the budget must die last.

@@ -67,7 +67,9 @@ TaskResult RunSearchTask(core::Searcher& searcher,
     }
     call.Restart();
     SEESAW_CHECK(searcher.Refit().ok());
-    result.perceived_seconds += call.ElapsedSeconds();
+    const double refit = call.ElapsedSeconds();
+    result.refit_seconds += refit;
+    result.perceived_seconds += refit;
     ++result.rounds;
   }
 
@@ -103,27 +105,6 @@ BenchmarkRun RunBenchmark(const SearcherFactory& factory,
     run.results.push_back(
         RunSearchTask(*searcher, dataset, concept_id, options));
   }
-  return run;
-}
-
-BenchmarkRun RunBenchmarkParallel(const SearcherFactory& factory,
-                                  const data::Dataset& dataset,
-                                  const std::vector<size_t>& concepts,
-                                  const TaskOptions& options,
-                                  size_t num_threads) {
-  BenchmarkRun run;
-  run.concepts = concepts;
-  run.results.resize(concepts.size());
-  ThreadPool pool(num_threads == 0 ? ThreadPool::DefaultThreads()
-                                   : num_threads);
-  pool.ParallelFor(concepts.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      auto searcher = factory(concepts[i]);
-      SEESAW_CHECK(searcher != nullptr);
-      run.results[i] =
-          RunSearchTask(*searcher, dataset, concepts[i], options);
-    }
-  });
   return run;
 }
 

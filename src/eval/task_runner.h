@@ -55,6 +55,9 @@ struct TaskResult {
   /// Portion of perceived_seconds spent inside NextBatch — the lookup
   /// latency that think-time prefetch hides.
   double nextbatch_seconds = 0.0;
+  /// Portion of perceived_seconds spent inside Refit — the fit that an
+  /// adopted refit speculation hides.
+  double refit_seconds = 0.0;
   /// Total simulated think time slept (inspected * think_seconds_per_image).
   double think_seconds = 0.0;
 };
@@ -84,15 +87,6 @@ BenchmarkRun RunBenchmark(const SearcherFactory& factory,
                           const data::Dataset& dataset,
                           const std::vector<size_t>& concepts,
                           const TaskOptions& options);
-
-/// Like RunBenchmark, but tasks run concurrently on `num_threads` workers
-/// (0 = hardware default) — one independent session per concept, results in
-/// concept order. `factory` must be callable from multiple threads at once.
-BenchmarkRun RunBenchmarkParallel(const SearcherFactory& factory,
-                                  const data::Dataset& dataset,
-                                  const std::vector<size_t>& concepts,
-                                  const TaskOptions& options,
-                                  size_t num_threads = 0);
 
 /// Runs the task for every concept through `service.sessions()`: each task
 /// opens a managed session (by the concept's text query), drives it with

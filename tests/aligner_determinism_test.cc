@@ -1,9 +1,9 @@
 // Aligner determinism: the same feedback sequence must yield
 // bitwise-identical Align() output — across repeated runs, across a fresh
-// clone (Snapshot + AlignWith), and under concurrent unrelated pool load.
-// This is the invariant the refit-speculation consume check rests on: a
-// speculative fit over a cloned snapshot predicts the real Refit() bit for
-// bit exactly when the state did not change in between. See the determinism
+// clone (Snapshot + Fit), and under concurrent unrelated pool load. This is
+// the invariant refit-speculation adoption rests on: a speculative fit over
+// a cloned snapshot is the fit the real Refit() would run, bit for bit,
+// exactly when the state did not change in between. See the determinism
 // audits in core/aligner.h and optim/lbfgs.h.
 #include "core/aligner.h"
 
@@ -83,40 +83,50 @@ TEST(AlignerDeterminismTest, RepeatedRunsAreBitwiseIdentical) {
   }
 }
 
-TEST(AlignerDeterminismTest, SnapshotAlignWithMatchesLiveAlign) {
-  // The speculative path: AlignWith over a fresh clone must predict the
-  // live Align() bitwise at every round — and, being const, must not
-  // perturb the live aligner's subsequent rounds.
+TEST(AlignerDeterminismTest, SnapshotFitMatchesLiveAlign) {
+  // The speculative path: Fit over a fresh clone must equal the live
+  // Align() bitwise at every round — and, being const, must not perturb the
+  // live aligner's subsequent rounds. An aligner that only ever adopts
+  // snapshot fits (what an adopting Refit() does) must stay bitwise on the
+  // same trajectory, warm start included.
   MatrixF table = RandomTable(40, kDim, 15);
   VectorF q0 = UnitQuery(16);
   AlignerOptions options;
   QueryAligner live(options, q0, nullptr);
-  QueryAligner control(options, q0, nullptr);  // never snapshotted
+  QueryAligner control(options, q0, nullptr);   // never snapshotted
+  QueryAligner adopting(options, q0, nullptr);  // never runs Align()
   auto steps = MakeSequence(30, 17);
   for (size_t round = 0; round < 5; ++round) {
     for (size_t i = round * 6; i < (round + 1) * 6; ++i) {
       live.AddFeedback(table.Row(steps[i].row), steps[i].positive);
       control.AddFeedback(table.Row(steps[i].row), steps[i].positive);
+      adopting.AddFeedback(table.Row(steps[i].row), steps[i].positive);
     }
     AlignerSnapshot snapshot = live.Snapshot();
     EXPECT_EQ(snapshot.fit_generation, live.fit_generation());
-    auto predicted = QueryAligner::AlignWith(snapshot);
+    auto predicted = QueryAligner::Fit(snapshot);
     // Run the speculative fit twice to cover fit-vs-fit reproducibility too.
-    auto predicted_again = QueryAligner::AlignWith(snapshot);
+    auto predicted_again = QueryAligner::Fit(snapshot);
+    auto adopted_fit = QueryAligner::Fit(adopting.Snapshot());
     auto real = live.Align();
     auto undisturbed = control.Align();
     ASSERT_TRUE(predicted.ok());
     ASSERT_TRUE(predicted_again.ok());
+    ASSERT_TRUE(adopted_fit.ok());
     ASSERT_TRUE(real.ok());
     ASSERT_TRUE(undisturbed.ok());
-    ExpectBitwiseEqual(*predicted, *real, "snapshot vs live");
-    ExpectBitwiseEqual(*predicted, *predicted_again, "snapshot repeat");
+    VectorF adopted = adopting.Adopt(*std::move(adopted_fit));
+    ExpectBitwiseEqual(predicted->query, *real, "snapshot vs live");
+    ExpectBitwiseEqual(predicted->query, predicted_again->query,
+                       "snapshot repeat");
     ExpectBitwiseEqual(*real, *undisturbed, "live vs undisturbed control");
+    ExpectBitwiseEqual(adopted, *real, "adopted vs live");
+    EXPECT_EQ(adopting.last_result().iterations, live.last_result().iterations);
   }
 }
 
-TEST(AlignerDeterminismTest, AlignWithUnderConcurrentPoolLoadIsStable) {
-  // The refit speculation runs AlignWith on a pool worker while other
+TEST(AlignerDeterminismTest, FitUnderConcurrentPoolLoadIsStable) {
+  // The refit speculation runs Fit on a pool worker while other
   // sessions hammer the same pool with store scans. Neither the unrelated
   // load nor running several speculative fits at once may change a single
   // bit of the result.
@@ -128,7 +138,7 @@ TEST(AlignerDeterminismTest, AlignWithUnderConcurrentPoolLoadIsStable) {
     live.AddFeedback(table.Row(s.row), s.positive);
   }
   auto snapshot = std::make_shared<AlignerSnapshot>(live.Snapshot());
-  auto reference = QueryAligner::AlignWith(*snapshot);
+  auto reference = QueryAligner::Fit(*snapshot);
   ASSERT_TRUE(reference.ok());
 
   // Unrelated load: batched scans over a store on the same pool.
@@ -150,26 +160,26 @@ TEST(AlignerDeterminismTest, AlignWithUnderConcurrentPoolLoadIsStable) {
   std::vector<TaskHandle> handles;
   for (int i = 0; i < kFits; ++i) {
     handles.push_back(pool.SubmitWithResult([snapshot, &results, i] {
-      auto r = QueryAligner::AlignWith(*snapshot);
-      if (r.ok()) results[i] = *std::move(r);
+      auto r = QueryAligner::Fit(*snapshot);
+      if (r.ok()) results[i] = std::move(r->query);
     }));
   }
   for (TaskHandle& h : handles) h.Wait();
   stop.store(true);
   load.join();
   for (int i = 0; i < kFits; ++i) {
-    ExpectBitwiseEqual(results[i], *reference, "fit under pool load");
+    ExpectBitwiseEqual(results[i], reference->query, "fit under pool load");
   }
   // And the live aligner, untouched by any of it, still agrees.
   auto real = live.Align();
   ASSERT_TRUE(real.ok());
-  ExpectBitwiseEqual(*real, *reference, "live align after load");
+  ExpectBitwiseEqual(*real, reference->query, "live align after load");
 }
 
 TEST(AlignerDeterminismTest, FitGenerationTracksEveryStateChange) {
-  // The generation counter versions exactly the state Align() reads; every
-  // mutation class bumps it (the speculation stack keys arm-time clones off
-  // it in diagnostics).
+  // The generation counter versions the fit inputs Align() reads; every
+  // mutation class bumps it (refit speculation adopts an arm-time clone's
+  // fit only at the generation the clone was taken at).
   MatrixF table = RandomTable(4, kDim, 35);
   QueryAligner aligner(AlignerOptions{}, UnitQuery(36), nullptr);
   uint64_t g0 = aligner.fit_generation();
@@ -188,10 +198,15 @@ TEST(AlignerDeterminismTest, FitGenerationTracksEveryStateChange) {
   aligner.Reset();
   EXPECT_GT(aligner.fit_generation(), g3);
   EXPECT_EQ(aligner.num_examples(), 0u);
-  // Align() itself is a read: it must not bump the generation.
+  // With no feedback Align() is a read: it must not bump the generation.
   uint64_t g4 = aligner.fit_generation();
   ASSERT_TRUE(aligner.Align().ok());
   EXPECT_EQ(aligner.fit_generation(), g4);
+  // ... unless the solver ran: the warm start it installs is a fit input.
+  aligner.AddFeedback(table.Row(0), true);
+  uint64_t g5 = aligner.fit_generation();
+  ASSERT_TRUE(aligner.Align().ok());
+  EXPECT_GT(aligner.fit_generation(), g5);
 }
 
 TEST(AlignerDeterminismTest, NoFeedbackAndDegenerateCasesStayDeterministic) {
@@ -199,11 +214,12 @@ TEST(AlignerDeterminismTest, NoFeedbackAndDegenerateCasesStayDeterministic) {
   VectorF q0 = UnitQuery(46);
   QueryAligner aligner(AlignerOptions{}, q0, nullptr);
   auto a = aligner.Align();
-  auto b = QueryAligner::AlignWith(aligner.Snapshot());
+  auto b = QueryAligner::Fit(aligner.Snapshot());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ExpectBitwiseEqual(*a, q0, "no-feedback align");
-  ExpectBitwiseEqual(*b, q0, "no-feedback snapshot align");
+  ExpectBitwiseEqual(b->query, q0, "no-feedback snapshot fit");
+  EXPECT_FALSE(b->ran_solver);
 }
 
 }  // namespace

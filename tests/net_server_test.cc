@@ -61,7 +61,7 @@ core::SessionLimits ServingLimits() {
 struct ServerFixture {
   explicit ServerFixture(const core::SessionLimits& limits = ServingLimits(),
                          net::ServerOptions options = {})
-      : manager(*Fixture().service, /*num_threads=*/2, {}, limits),
+      : manager(*Fixture().service, /*num_threads=*/2, limits),
         server(manager, [&options] {
           options.port = 0;
           return options;

@@ -25,8 +25,7 @@ using test_util::RoundScript;
 using test_util::ScriptedUser;
 
 SeeSawOptions WithPrefetch(SeeSawOptions options, bool enabled) {
-  options.prefetch.enabled = enabled;
-  options.prefetch.max_in_flight = 0;  // unlimited; budget tested separately
+  options.prefetch = enabled;  // unmanaged: no budget, tested separately
   return options;
 }
 
@@ -92,12 +91,11 @@ TEST(PrefetchTest, ZeroShotConsumesSpeculations) {
 }
 
 TEST(PrefetchTest, QueryMovingRefitConsumesPredictedSpeculation) {
-  // The full method refits to a new query each round. Speculations used to
-  // die here (they were built on the stale query); with refit speculation
-  // the aligner runs during labeling and the scan uses the predicted
-  // post-refit query, so full-batch rounds now consume — bitwise parity is
-  // covered by ParityAcrossVariantsAndBackends and the refit_speculation
-  // suite.
+  // The full method refits to a new query each round. With refit
+  // speculation the aligner runs during labeling, Refit() adopts that fit,
+  // and the scan already runs with the refit query, so full-batch rounds
+  // consume — bitwise parity is covered by ParityAcrossVariantsAndBackends
+  // and the refit_speculation suite.
   auto f = MakeEmbeddedFixture(StoreBackend::kExact);
   ThreadPool pool(3);
   SeeSawSearcher searcher(*f.embedded, f.embedded->TextQuery(0),
@@ -110,7 +108,7 @@ TEST(PrefetchTest, QueryMovingRefitConsumesPredictedSpeculation) {
   }
   const PrefetchStats& stats = searcher.prefetch_stats();
   EXPECT_GT(stats.refit_fits, 0u);
-  EXPECT_GT(stats.refit_matches, 0u);
+  EXPECT_EQ(stats.refit_adopted, stats.refit_fits);  // each round fits once
   EXPECT_GT(stats.hits_post_refit, 0u);
   EXPECT_EQ(stats.hits, stats.hits_post_refit);  // no same-query consumes
 }
@@ -224,8 +222,7 @@ TEST(PrefetchTest, ManagedSessionsWithPrefetchMatchBaseline) {
     options.preprocess.build_md = false;
     options.session_threads = 3;
     options.search.update_query = false;  // zero-shot: speculation-friendly
-    options.search.prefetch.enabled = prefetch_on;
-    options.search.prefetch.max_in_flight = 2;
+    options.search.prefetch = prefetch_on;
     auto svc = SeeSawService::Create(*ds, options);
     EXPECT_TRUE(svc.ok());
     return std::make_unique<SeeSawService>(std::move(*svc));
@@ -252,7 +249,6 @@ TEST(PrefetchTest, ManagedSessionsWithPrefetchMatchBaseline) {
     EXPECT_DOUBLE_EQ(run_off.results[i].ap, run_on.results[i].ap);
   }
   EXPECT_EQ(on->sessions().prefetches_in_flight(), 0u);
-  EXPECT_EQ(on->sessions().prefetch_policy().max_in_flight, 2u);
 }
 
 }  // namespace

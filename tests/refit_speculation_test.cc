@@ -1,7 +1,7 @@
 // Refit speculation: during think time the aligner runs speculatively on
 // the feedback already received (a cloned snapshot) and the next-batch scan
-// launches with the predicted post-refit query; a real Refit() landing on
-// the bitwise-identical aligned vector consumes the speculation, and any
+// launches with the fitted query; a real Refit() at the fit generation the
+// snapshot was cloned at adopts that fit instead of fitting again, and any
 // deviation — partial labels, feedback outside the batch, extra soft
 // feedback, changed aligner options — cancels it mid-scan.
 //
@@ -39,8 +39,7 @@ using Fixture = test_util::EmbeddedFixture;
 
 SeeSawOptions SpeculatingOptions(bool enabled) {
   SeeSawOptions options;  // full seesaw: every refit moves the query
-  options.prefetch.enabled = enabled;
-  options.prefetch.max_in_flight = 0;
+  options.prefetch = enabled;
   return options;
 }
 
@@ -53,7 +52,7 @@ struct LockstepPair {
         baseline(*f.embedded, f.embedded->TextQuery(concept_id),
                  [&] {
                    SeeSawOptions off = options;
-                   off.prefetch.enabled = false;
+                   off.prefetch = false;
                    return off;
                  }()),
         speculating(*f.embedded, f.embedded->TextQuery(concept_id), options) {
@@ -86,9 +85,10 @@ constexpr StoreBackend kBackends[] = {StoreBackend::kExact,
                                       StoreBackend::kIvf};
 
 TEST(RefitSpeculationTest, FullBatchRoundsConsumeOnEveryBackend) {
-  // The canonical loop — label the whole batch, refit — must now consume:
-  // the refit lands bitwise on the predicted query (aligner determinism)
-  // and the speculative scan serves the next batch, bit for bit.
+  // The canonical loop — label the whole batch, refit — must consume: the
+  // refit adopts the speculative fit (aligner determinism), so no round
+  // fits twice, and the speculative scan serves the next batch, bit for
+  // bit.
   for (StoreBackend backend : kBackends) {
     auto f = test_util::MakeEmbeddedFixture(backend);
     ThreadPool pool(3);
@@ -99,12 +99,38 @@ TEST(RefitSpeculationTest, FullBatchRoundsConsumeOnEveryBackend) {
     }
     const PrefetchStats& stats = pair.speculating.prefetch_stats();
     EXPECT_GT(stats.refit_fits, 0u);
-    EXPECT_GT(stats.refit_matches, 0u);
+    EXPECT_EQ(stats.refit_adopted, stats.refit_fits);
     EXPECT_GT(stats.hits_post_refit, 0u);
-    EXPECT_EQ(stats.refit_mismatches, 0u);
     // Every round after the first is a consume opportunity and none should
     // be lost: the script never deviates.
     EXPECT_EQ(stats.hits_post_refit, static_cast<size_t>(rounds - 1));
+  }
+}
+
+TEST(RefitSpeculationTest, AdoptedRefitsTrackANonSpeculatingSearcher) {
+  // Every round adopts the speculative fit, so the speculating searcher
+  // never runs Align() itself: its query, warm start and solver statistics
+  // come only from Adopt(). Over many rounds they must stay bitwise where a
+  // searcher that never speculates puts them — a warm start lost or taken
+  // from the wrong fit would drift the query within a round or two.
+  auto f = test_util::MakeEmbeddedFixture(StoreBackend::kExact);
+  ThreadPool pool(3);
+  LockstepPair pair(f, /*concept_id=*/0, &pool, SpeculatingOptions(true));
+  const int rounds = 6;
+  for (int round = 0; round < rounds; ++round) {
+    ASSERT_TRUE(pair.DriveRound(6, {}, round));
+    const linalg::VectorF& want = pair.baseline.current_query();
+    const linalg::VectorF& got = pair.speculating.current_query();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t j = 0; j < want.size(); ++j) {
+      ASSERT_EQ(got[j], want[j]) << "round " << round << " dim " << j;
+    }
+    EXPECT_EQ(pair.speculating.aligner().last_result().iterations,
+              pair.baseline.aligner().last_result().iterations)
+        << "round " << round;
+    const PrefetchStats& stats = pair.speculating.prefetch_stats();
+    EXPECT_EQ(stats.refit_adopted, static_cast<size_t>(round + 1));
+    EXPECT_EQ(stats.refit_fits, stats.refit_adopted);
   }
 }
 
@@ -176,8 +202,8 @@ TEST(RefitSpeculationTest, RandomizedConsumeInvalidateParitySweep) {
       ASSERT_TRUE(pair.DriveRound(6, {}, 99));
       const PrefetchStats& stats = pair.speculating.prefetch_stats();
       total_consumed += stats.hits_post_refit;
-      total_divergent += stats.refit_mismatches + stats.invalidated +
-                         stats.misses;
+      total_divergent += stats.invalidated + stats.misses;
+      EXPECT_LE(stats.refit_adopted, stats.refit_fits);
       // Accounting sanity: every scheduled speculation resolves exactly
       // once (the final round's speculation may still be pending).
       const size_t resolved = stats.hits + stats.misses + stats.invalidated;
@@ -225,7 +251,7 @@ TEST(RefitSpeculationDivergenceTest, ReversedLabelsStillConsume) {
   }
   const PrefetchStats& stats = pair.speculating.prefetch_stats();
   EXPECT_GT(stats.hits_post_refit, 0u);
-  EXPECT_EQ(stats.refit_mismatches, 0u);
+  EXPECT_EQ(stats.refit_adopted, stats.refit_fits);
 }
 
 TEST(RefitSpeculationDivergenceTest, OutOfOrderFeedbackOutsideBatchInvalidates) {
@@ -248,10 +274,10 @@ TEST(RefitSpeculationDivergenceTest, OutOfOrderFeedbackOutsideBatchInvalidates) 
 
 TEST(RefitSpeculationDivergenceTest, SoftFeedbackBetweenArmAndRefitInvalidates) {
   // The batch is fully labeled (the fit arms and runs), then extra soft
-  // feedback lands before Refit(): the real aligned query no longer matches
-  // the prediction bitwise, so the armed speculation must be discarded —
-  // asserted via the refit_mismatches stat — and the next batch must still
-  // equal the baseline's.
+  // feedback lands before Refit(): the fit generation moved past the
+  // clone's, so the armed fit must not be adopted — Refit() fits itself and
+  // the speculation is cancelled — and the next batch must still equal the
+  // baseline's.
   auto f = test_util::MakeEmbeddedFixture(StoreBackend::kExact);
   ThreadPool pool(3);
   LockstepPair pair(f, 0, &pool, SpeculatingOptions(true));
@@ -263,18 +289,20 @@ TEST(RefitSpeculationDivergenceTest, SoftFeedbackBetweenArmAndRefitInvalidates) 
   pair.speculating.mutable_aligner().AddSoftFeedback(x, 0.6f);
   ASSERT_TRUE(pair.baseline.Refit().ok());
   ASSERT_TRUE(pair.speculating.Refit().ok());
-  ASSERT_TRUE(pair.DriveRound(6, {}, 1));
   const PrefetchStats& stats = pair.speculating.prefetch_stats();
-  // Round 0's fit mismatched (the soft feedback moved the real alignment);
-  // round 1's canonical fit matched. Every launched fit resolved.
-  EXPECT_EQ(stats.refit_fits, stats.refit_matches + stats.refit_mismatches);
-  EXPECT_GT(stats.refit_mismatches, 0u);
+  EXPECT_EQ(stats.refit_fits, 1u);
+  EXPECT_EQ(stats.refit_adopted, 0u);
+  EXPECT_GT(stats.invalidated, 0u);
+  // Round 1 is canonical again: its fit is adopted.
+  ASSERT_TRUE(pair.DriveRound(6, {}, 1));
+  EXPECT_EQ(stats.refit_fits, 2u);
+  EXPECT_EQ(stats.refit_adopted, 1u);
 }
 
 TEST(RefitSpeculationDivergenceTest, OptionsChangeBetweenArmAndRefitInvalidates) {
   // Same shape with changed aligner options: the speculative fit ran under
-  // the old hyper-parameters, the real refit under the new ones — the
-  // aligned vectors differ and the speculation must be discarded.
+  // the old hyper-parameters, so Refit() must fit under the new ones itself
+  // and the speculation must be discarded.
   auto f = test_util::MakeEmbeddedFixture(StoreBackend::kExact);
   ThreadPool pool(3);
   LockstepPair pair(f, 0, &pool, SpeculatingOptions(true));
@@ -287,9 +315,32 @@ TEST(RefitSpeculationDivergenceTest, OptionsChangeBetweenArmAndRefitInvalidates)
   pair.speculating.mutable_aligner().set_options(changed);
   ASSERT_TRUE(pair.baseline.Refit().ok());
   ASSERT_TRUE(pair.speculating.Refit().ok());
+  EXPECT_EQ(pair.speculating.prefetch_stats().refit_adopted, 0u);
   ASSERT_TRUE(pair.DriveRound(6, {}, 1));
-  EXPECT_GT(pair.speculating.prefetch_stats().refit_mismatches, 0u);
   EXPECT_EQ(pair.speculating.prefetch_stats().hits, 0u);
+}
+
+TEST(RefitSpeculationDivergenceTest, DirectAlignBetweenArmAndRefitInvalidates) {
+  // A driver that aligns through mutable_aligner() between arm and Refit()
+  // moves the warm start the speculative fit was cloned with. With a fit
+  // that stops short of convergence the next fit lands on different bits,
+  // so the armed fit must not be adopted.
+  auto f = test_util::MakeEmbeddedFixture(StoreBackend::kExact);
+  ThreadPool pool(3);
+  SeeSawOptions options = SpeculatingOptions(true);
+  options.aligner.lbfgs.max_iterations = 2;
+  LockstepPair pair(f, 0, &pool, options);
+  ASSERT_TRUE(pair.DriveRound(6, {}, 0));
+  RoundScript no_refit;
+  no_refit.refit = false;
+  ASSERT_TRUE(pair.DriveRound(6, no_refit, 1));
+  ASSERT_TRUE(pair.baseline.mutable_aligner().Align().ok());
+  ASSERT_TRUE(pair.speculating.mutable_aligner().Align().ok());
+  ASSERT_TRUE(pair.baseline.Refit().ok());
+  ASSERT_TRUE(pair.speculating.Refit().ok());
+  EXPECT_EQ(pair.speculating.current_query(), pair.baseline.current_query());
+  EXPECT_EQ(pair.speculating.prefetch_stats().refit_adopted, 1u);
+  ASSERT_TRUE(pair.DriveRound(6, {}, 2));
 }
 
 TEST(RefitSpeculationDivergenceTest, SoftFeedbackAloneTriggersARefit) {
@@ -383,8 +434,7 @@ TEST(RefitSpeculationConcurrencyTest, ManagedSeeSawServiceParityEndToEnd) {
     options.preprocess.multiscale.enabled = false;
     options.preprocess.build_md = false;
     options.session_threads = 3;
-    options.search.prefetch.enabled = prefetch_on;
-    options.search.prefetch.max_in_flight = 2;
+    options.search.prefetch = prefetch_on;
     auto svc = SeeSawService::Create(*ds, options);
     EXPECT_TRUE(svc.ok());
     return std::make_unique<SeeSawService>(std::move(*svc));

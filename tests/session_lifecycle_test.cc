@@ -47,7 +47,7 @@ ServiceFixture& Fixture() {
 /// A manager with the given limits and a manually advanced clock.
 struct ManagerWithClock {
   explicit ManagerWithClock(const core::SessionLimits& limits)
-      : manager(*Fixture().service, /*num_threads=*/2, {}, limits) {
+      : manager(*Fixture().service, /*num_threads=*/2, limits) {
     manager.set_clock_for_testing([this] { return now_ns.load(); });
   }
   void AdvanceSeconds(double s) {
@@ -152,7 +152,7 @@ TEST(SessionTtlTest, ZeroTtlNeverEvicts) {
 TEST(SessionQuotaTest, PerUserQuotaIsTypedAndReleased) {
   core::SessionLimits limits;
   limits.max_sessions_per_user = 2;
-  core::SessionManager manager(*Fixture().service, 2, {}, limits);
+  core::SessionManager manager(*Fixture().service, 2, limits);
 
   auto a = manager.CreateSession("car", "alice");
   auto b = manager.CreateSession("car", "alice");
@@ -194,7 +194,7 @@ TEST(SessionQuotaTest, EvictionReleasesQuotaSlots) {
 TEST(SessionBusyTest, InFlightCapShedsAndRecovers) {
   core::SessionLimits limits;
   limits.max_inflight_per_session = 1;
-  core::SessionManager manager(*Fixture().service, 2, {}, limits);
+  core::SessionManager manager(*Fixture().service, 2, limits);
 
   auto id = manager.CreateSession("car");
   ASSERT_TRUE(id.ok());
@@ -219,7 +219,7 @@ TEST(SessionBusyTest, InFlightCapShedsAndRecovers) {
 TEST(SessionBusyTest, LeaseMoveTransfersTheSlot) {
   core::SessionLimits limits;
   limits.max_inflight_per_session = 1;
-  core::SessionManager manager(*Fixture().service, 2, {}, limits);
+  core::SessionManager manager(*Fixture().service, 2, limits);
 
   auto id = manager.CreateSession("car");
   ASSERT_TRUE(id.ok());
@@ -254,7 +254,7 @@ TEST(SessionLifecycleConcurrencyTest, LeaseCounterBalancedUnderChurn) {
   // would brick the session as "forever busy".
   core::SessionLimits limits;
   limits.max_inflight_per_session = 2;
-  core::SessionManager manager(*Fixture().service, 2, {}, limits);
+  core::SessionManager manager(*Fixture().service, 2, limits);
   auto id = manager.CreateSession("car");
   ASSERT_TRUE(id.ok());
 
@@ -306,7 +306,7 @@ TEST(SessionLifecycleConcurrencyTest, SweepsRaceCreatesAndAcquires) {
   core::SessionLimits limits;
   limits.idle_ttl_seconds = 1e-9;  // everything not in flight is evictable
   limits.max_inflight_per_session = 1;
-  core::SessionManager manager(*Fixture().service, 2, {}, limits);
+  core::SessionManager manager(*Fixture().service, 2, limits);
 
   constexpr int kThreads = 4;
   constexpr int kIters = 25;
