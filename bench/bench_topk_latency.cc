@@ -2,10 +2,9 @@
 //
 // The interactive loop (§2.2) is bounded by per-iteration lookup latency;
 // this bench measures what the batched engine buys: TopKBatch streams each
-// row block through the cache once for all queries (ExactStore), scores all
-// centroids in one blocked pass (IvfFlatIndex), and fans independent
-// traversals across a pool (AnnoyIndex). Scalar mode is the same k and seen
-// set issued one TopK per query.
+// row block through the cache once for all queries (ExactStore) and fans
+// independent traversals across a pool (AnnoyIndex). Scalar mode is the same
+// k and seen set issued one TopK per query.
 //
 //   ./bench_topk_latency [--n=20000] [--dim=128] [--k=100] [--warmup=1]
 //                        [--iters=5] [--threads=0] [--seen=0.1]
@@ -35,7 +34,6 @@
 #include "common/thread_pool.h"
 #include "store/annoy_index.h"
 #include "store/exact_store.h"
-#include "store/ivf_index.h"
 
 namespace seesaw::bench {
 namespace {
@@ -168,8 +166,6 @@ int Run(int argc, char** argv) {
   linalg::MatrixF table = RandomUnitTable(args.n, args.dim, /*seed=*/11);
   auto exact = store::ExactStore::Create(table);
   SEESAW_CHECK(exact.ok());
-  auto ivf = store::IvfFlatIndex::Build(store::IvfOptions{}, table);
-  SEESAW_CHECK(ivf.ok());
   auto annoy = store::AnnoyIndex::Build(store::AnnoyOptions{}, table);
   SEESAW_CHECK(annoy.ok());
 
@@ -200,8 +196,7 @@ int Run(int argc, char** argv) {
     const char* name;
     const store::VectorStore* store;
   };
-  const Backend backends[] = {
-      {"exact", &*exact}, {"ivf", &*ivf}, {"annoy", &*annoy}};
+  const Backend backends[] = {{"exact", &*exact}, {"annoy", &*annoy}};
 
   if (args.csv) {
     std::printf("backend,batch_size,scalar_ms,batched_ms,speedup,"

@@ -8,7 +8,8 @@
 # env-pinned scalar dispatch path is proven end-to-end on every run, plus the
 # speculation parity check: bench_prefetch_latency aborts (SEESAW_CHECK)
 # unless prefetch-on reproduces the prefetch-off result sequences on the
-# exact, ivf and annoy backends (~20 s at --scale=0.05, mostly think time).
+# exact and annoy backends and every speculation hit rate is <= 1 (~20 s at
+# --scale=0.05, mostly think time).
 #
 # --native   additionally builds with SEESAW_ENABLE_NATIVE_ARCH=ON
 #            (-march=native) in build-native and runs the full suite there —

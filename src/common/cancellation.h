@@ -28,8 +28,8 @@ namespace seesaw {
 ///    observing the flag). The release costs nothing on the cancel path,
 ///    which runs once.
 ///  - cancelled() is an acquire load, pairing with the store. This is the
-///    hot path — polled once per scanned row block / probed IVF list — but
-///    an acquire load is a plain MOV on x86-64 and a single LDAR on AArch64,
+///    hot path — polled once per scanned row block — but an acquire load
+///    is a plain MOV on x86-64 and a single LDAR on AArch64,
 ///    noise against the O(block_rows * dim) of kernel work between
 ///    checkpoints (measured: no difference at bench_scale granularity).
 ///  - seq_cst would additionally impose one global order across *different*

@@ -28,13 +28,6 @@ StatusOr<std::unique_ptr<store::VectorStore>> BuildStore(
       out = std::make_unique<store::AnnoyIndex>(std::move(index));
       break;
     }
-    case StoreBackend::kIvf: {
-      SEESAW_ASSIGN_OR_RETURN(
-          store::IvfFlatIndex index,
-          store::IvfFlatIndex::Build(options.ivf, std::move(table_copy)));
-      out = std::make_unique<store::IvfFlatIndex>(std::move(index));
-      break;
-    }
     case StoreBackend::kExact: {
       SEESAW_ASSIGN_OR_RETURN(
           store::ExactStore index,

@@ -16,7 +16,6 @@
 #include "graph/adjacency.h"
 #include "store/annoy_index.h"
 #include "store/exact_store.h"
-#include "store/ivf_index.h"
 
 namespace seesaw::core {
 
@@ -37,9 +36,8 @@ struct PreprocessStats {
 
 /// Which max-inner-product index backs the store.
 enum class StoreBackend {
-  kExact,    ///< brute-force scan (accuracy reference)
-  kAnnoy,    ///< RP-tree forest (the paper's store, §2.2)
-  kIvf,      ///< FAISS-style inverted file
+  kExact,  ///< brute-force scan (accuracy reference)
+  kAnnoy,  ///< RP-tree forest (the paper's store, §2.2)
 };
 
 /// Preprocessing configuration.
@@ -54,7 +52,6 @@ struct PreprocessOptions {
   StoreBackend backend = StoreBackend::kExact;
   store::ExactStoreOptions exact;
   store::AnnoyOptions annoy;
-  store::IvfOptions ivf;
   /// Worker threads for embedding (0 = hardware default).
   size_t num_threads = 0;
 };

@@ -67,8 +67,8 @@ std::vector<ScoredImage> SearcherBase::ComputeTopImages(
     // Patches of seen images are excluded inside the store scan via the
     // patch-level bitset; a shared pool (managed sessions) shards the scan.
     // The cancellation token rides into the scan itself (store::ScanControl)
-    // so a cancelled speculation stops mid-scan — per row block / probed
-    // list — not just between k-doubling rounds.
+    // so a cancelled speculation stops mid-scan — per row block or Annoy
+    // query — not just between k-doubling rounds.
     store::ScanControl control;
     control.cancel = cancel;
     linalg::VecSpan queries[] = {query};

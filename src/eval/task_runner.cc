@@ -30,6 +30,7 @@ TaskResult RunSearchTask(core::Searcher& searcher,
     call.Restart();
     auto batch = searcher.NextBatch(want);
     double nextbatch = call.ElapsedSeconds();
+    ++result.nextbatch_calls;
     result.nextbatch_seconds += nextbatch;
     result.perceived_seconds += nextbatch;
     if (batch.empty()) break;  // store exhausted

@@ -45,6 +45,9 @@ struct TaskResult {
   size_t found = 0;             ///< Positives found (<= target).
   size_t inspected = 0;         ///< Images inspected (<= max_images).
   size_t rounds = 0;            ///< Feedback rounds executed.
+  /// NextBatch calls made: one per round, plus the final call that comes
+  /// back empty when the store runs out (a speculation can serve it too).
+  size_t nextbatch_calls = 0;
   std::vector<char> relevance;  ///< Per-inspected-image relevance sequence.
   double total_seconds = 0.0;   ///< Whole-task wall time (incl. think time).
   /// Mean user-perceived latency per feedback iteration (the Table 6

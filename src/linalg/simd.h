@@ -1,10 +1,10 @@
 // Runtime-dispatched SIMD scoring kernels.
 //
 // The dense inner-product scan is the hot path of the interactive loop
-// (ExactStore row blocks, IVF centroid + list scoring, aligner/loss inner
-// products), so Dot / DotBatch / ScoreBlock route through a per-process
-// kernel table selected once by CPU-feature detection: AVX2+FMA on x86-64,
-// NEON on aarch64, and a portable scalar reference everywhere.
+// (ExactStore row blocks, aligner/loss inner products), so Dot / DotBatch /
+// ScoreBlock route through a per-process kernel table selected once by
+// CPU-feature detection: AVX2+FMA on x86-64, NEON on aarch64, and a portable
+// scalar reference everywhere.
 //
 // Every implementation computes the *same arithmetic spec*, so results are
 // bitwise identical across kernels on a given machine — and across machines

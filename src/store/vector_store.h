@@ -95,14 +95,14 @@ class ScanErrorCollector {
 /// test-only checkpoint hook.
 ///
 /// Backends poll ShouldStop() at natural scan checkpoints — per row block
-/// for the exact scan, per probed inverted list for IVF, per child shard
-/// for ShardedStore, per query (before its forest traversal and before its
-/// candidate scoring) for Annoy, per RPC for RemoteStore — so a cancelled
-/// speculative lookup stops mid-TopKBatch instead of running the scan to
-/// completion. A cancelled call returns early with whatever it has
-/// accumulated: the result is safe to destroy but carries no completeness
-/// guarantee, so callers that observe `cancel->cancelled()` must discard it
-/// (exactly what the speculative-prefetch consume path does).
+/// for the exact scan, per child shard for ShardedStore, per query (before
+/// its forest traversal and before its candidate scoring) for Annoy, per RPC
+/// for RemoteStore — so a cancelled speculative lookup stops mid-TopKBatch
+/// instead of running the scan to completion. A cancelled call returns
+/// early with whatever it has accumulated: the result is safe to destroy
+/// but carries no completeness guarantee, so callers that observe
+/// `cancel->cancelled()` must discard it (exactly what the
+/// speculative-prefetch consume path does).
 struct ScanControl {
   /// Cancellation flag polled at every checkpoint; null = not cancellable.
   const CancellationToken* cancel = nullptr;

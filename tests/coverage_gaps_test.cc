@@ -1,6 +1,6 @@
 // Cross-module scenarios not covered by the per-module suites: multiscale
-// propagation, non-exact backends inside full sessions, and service-level
-// composition.
+// propagation, the non-exact (Annoy) backend inside a full session, and
+// service-level composition.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -69,30 +69,6 @@ TEST(CoverageTest, FullSessionOnAnnoyBackend) {
       fb.image_idx = hit.image_idx;
       fb.relevant = ds->IsPositive(hit.image_idx, 0);
       if (fb.relevant) fb.boxes = ds->ConceptBoxes(hit.image_idx, 0);
-      searcher.AddFeedback(fb);
-    }
-    ASSERT_TRUE(searcher.Refit().ok());
-  }
-}
-
-TEST(CoverageTest, FullSessionOnIvfBackend) {
-  auto ds = data::Dataset::Generate(SmallBdd());
-  ASSERT_TRUE(ds.ok());
-  core::PreprocessOptions options;
-  options.backend = core::StoreBackend::kIvf;
-  options.ivf.nprobe = 8;
-  options.build_md = false;
-  auto ed = core::EmbeddedDataset::Build(*ds, options);
-  ASSERT_TRUE(ed.ok());
-  core::SeeSawSearcher searcher(*ed, ed->TextQuery(0), {});
-  std::set<uint32_t> seen;
-  for (int round = 0; round < 4; ++round) {
-    auto batch = searcher.NextBatch(6);
-    for (const auto& hit : batch) {
-      EXPECT_TRUE(seen.insert(hit.image_idx).second);
-      core::ImageFeedback fb;
-      fb.image_idx = hit.image_idx;
-      fb.relevant = false;
       searcher.AddFeedback(fb);
     }
     ASSERT_TRUE(searcher.Refit().ok());

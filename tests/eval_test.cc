@@ -162,6 +162,54 @@ TEST(TaskRunnerTest, StopsAtTargetOrBudget) {
   }
 }
 
+/// Serves a fixed image list in order, then empty batches.
+class ListSearcher : public core::Searcher {
+ public:
+  explicit ListSearcher(std::vector<uint32_t> images)
+      : images_(std::move(images)) {}
+  std::string name() const override { return "list"; }
+  std::vector<core::ScoredImage> NextBatch(size_t n) override {
+    std::vector<core::ScoredImage> batch;
+    for (; next_ < images_.size() && batch.size() < n; ++next_) {
+      batch.push_back({images_[next_], 0.0f});
+    }
+    return batch;
+  }
+  void AddFeedback(const core::ImageFeedback&) override {}
+  Status Refit() override { return Status::OK(); }
+
+ private:
+  std::vector<uint32_t> images_;
+  size_t next_ = 0;
+};
+
+TEST(TaskRunnerTest, CountsEveryNextBatchCallIncludingTheEmptyOne) {
+  auto f = MakeFixture();
+  std::vector<uint32_t> negatives;
+  for (uint32_t i = 0; i < f.dataset->num_images() && negatives.size() < 5;
+       ++i) {
+    if (!f.dataset->IsPositive(i, 0)) negatives.push_back(i);
+  }
+  ASSERT_EQ(negatives.size(), 5u);
+  TaskOptions options;
+  options.batch_size = 2;
+
+  // Batches of 2, 2, 1, then an empty one: the store runs out before the
+  // target, so the last call makes no round but is still a call.
+  ListSearcher exhausted(negatives);
+  auto result = RunSearchTask(exhausted, *f.dataset, 0, options);
+  EXPECT_EQ(result.inspected, 5u);
+  EXPECT_EQ(result.rounds, 3u);
+  EXPECT_EQ(result.nextbatch_calls, 4u);
+
+  // The budget ends the task after two full batches: no empty call.
+  options.max_images = 4;
+  ListSearcher budgeted(negatives);
+  result = RunSearchTask(budgeted, *f.dataset, 0, options);
+  EXPECT_EQ(result.rounds, 2u);
+  EXPECT_EQ(result.nextbatch_calls, 2u);
+}
+
 TEST(TaskRunnerTest, ApMatchesRelevanceSequence) {
   auto f = MakeFixture();
   core::SeeSawSearcher searcher(*f.embedded, f.embedded->TextQuery(0), {});

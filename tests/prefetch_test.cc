@@ -44,8 +44,7 @@ std::vector<Variant> Variants() {
 }
 
 TEST(PrefetchTest, ParityAcrossVariantsAndBackends) {
-  for (StoreBackend backend :
-       {StoreBackend::kExact, StoreBackend::kIvf, StoreBackend::kAnnoy}) {
+  for (StoreBackend backend : {StoreBackend::kExact, StoreBackend::kAnnoy}) {
     auto f = MakeEmbeddedFixture(backend);
     ThreadPool pool(3);
     ScriptedUser user(*f.dataset, /*concept_id=*/0);

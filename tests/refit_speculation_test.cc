@@ -8,7 +8,7 @@
 // The contract under test: bitwise parity with the non-speculative
 // execution OR clean invalidation, in every interleaving, on every backend,
 // under concurrency. The randomized sweep below drives
-// {kExact, kIvf} x label patterns x refit timing and asserts the
+// {kExact, kAnnoy} x label patterns x refit timing and asserts the
 // speculating searcher's batches equal the baseline's at every round, while
 // the targeted tests pin each divergence class to its stats outcome.
 // Runs in the TSan leg (`concurrency` label) and the forced-scalar kernel
@@ -82,7 +82,7 @@ struct LockstepPair {
 };
 
 constexpr StoreBackend kBackends[] = {StoreBackend::kExact,
-                                      StoreBackend::kIvf};
+                                      StoreBackend::kAnnoy};
 
 TEST(RefitSpeculationTest, FullBatchRoundsConsumeOnEveryBackend) {
   // The canonical loop — label the whole batch, refit — must consume: the

@@ -3,7 +3,7 @@
 // scores for every shard count), id/seen-set mapping, concurrent-sessions
 // stress on a shared pool, and deterministic in-scan cancellation — a
 // blocked scan observes a CancellationToken cancel inside one TopKBatch
-// call, for ExactStore, IvfFlatIndex, and ShardedStore.
+// call, for ExactStore, AnnoyIndex, and ShardedStore.
 #include "store/sharded_store.h"
 
 #include <gtest/gtest.h>
@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "store/annoy_index.h"
 #include "store/exact_store.h"
-#include "store/ivf_index.h"
 #include "tests/test_util.h"
 
 namespace seesaw::store {
@@ -297,17 +297,17 @@ TEST(ShardedStoreTest, ConcurrentCancellationLeavesOthersIntact) {
 
 /// Runs `fn` (a TopKBatch call) on a worker thread while the main thread
 /// drives the deterministic block-then-cancel schedule through the
-/// checkpoint hook: the scan parks at its first checkpoint, the test cancels
-/// mid-call, the scan resumes and must stop at that very checkpoint.
-/// Returns the number of checkpoints the scan hit.
+/// checkpoint hook: the scan parks at checkpoint `park_at` (0 = its first),
+/// the test cancels mid-call, the scan resumes and must stop at that very
+/// checkpoint. Returns the number of checkpoints the scan hit.
 template <typename Fn>
 int RunBlockThenCancel(const CancellationToken& token, ScanControl& control,
-                       Fn fn) {
+                       Fn fn, int park_at = 0) {
   std::atomic<int> checkpoints{0};
   std::binary_semaphore reached{0};
   std::binary_semaphore resume{0};
   control.checkpoint = [&] {
-    if (checkpoints.fetch_add(1) == 0) {
+    if (checkpoints.fetch_add(1) == park_at) {
       reached.release();
       resume.acquire();
     }
@@ -394,41 +394,53 @@ TEST(InScanCancellationTest, ShardedStoreStopsMidTopKBatchAndSkipsShards) {
   EXPECT_TRUE(out[0].empty());
 }
 
-TEST(InScanCancellationTest, IvfIndexStopsBetweenProbedLists) {
-  // nprobe = num_lists makes every list a checkpoint; the parked scan must
-  // stop at the checkpoint that observed the cancel (1 list hit per query
-  // at most — the second query's ScanLists stops at its own first
-  // checkpoint too).
-  IvfOptions ivf;
-  ivf.num_lists = 16;
-  ivf.nprobe = 16;
-  auto store = IvfFlatIndex::Build(ivf, RandomTable(512, 8, 75));
+TEST(InScanCancellationTest, AnnoyIndexStopsAtEitherQueryCheckpoint) {
+  // Serial scan (no pool): each query hits two checkpoints, one before its
+  // forest traversal and one before its candidate scoring, so 2 queries
+  // hit 4. A cancel observed at either checkpoint of query 0 stops it there
+  // with no hits, and query 1 then stops at its own first checkpoint.
+  auto store = AnnoyIndex::Build({}, RandomTable(512, 8, 75));
   ASSERT_TRUE(store.ok());
-  auto queries = RandomQueries(1, 8, 76);
+  auto queries = RandomQueries(2, 8, 76);
   std::vector<VecSpan> spans = AsSpans(queries);
 
+  std::vector<std::vector<SearchResult>> want;
   int total = 0;
   {
     ScanControl control;
     control.checkpoint = [&] { ++total; };
-    auto out = store->TopKBatch(std::span<const VecSpan>(spans), 10,
-                                EmptySeenSet(), /*pool=*/nullptr, control);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].size(), 10u);
+    want = store->TopKBatch(std::span<const VecSpan>(spans), 10,
+                            EmptySeenSet(), /*pool=*/nullptr, control);
+    ASSERT_EQ(want.size(), 2u);
+    EXPECT_EQ(want[0].size(), 10u);
   }
-  EXPECT_EQ(total, static_cast<int>(store->num_lists()));
+  EXPECT_EQ(total, 4);
 
-  CancellationToken token;
-  ScanControl control;
-  control.cancel = &token;
-  std::vector<std::vector<SearchResult>> out;
-  int hit = RunBlockThenCancel(token, control, [&] {
-    out = store->TopKBatch(std::span<const VecSpan>(spans), 10, EmptySeenSet(),
-                           /*pool=*/nullptr, control);
-  });
-  EXPECT_EQ(hit, 1);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_TRUE(out[0].empty());
+  for (int park_at : {0, 1}) {
+    CancellationToken token;
+    ScanControl control;
+    control.cancel = &token;
+    std::vector<std::vector<SearchResult>> out;
+    int hit = RunBlockThenCancel(
+        token, control,
+        [&] {
+          out = store->TopKBatch(std::span<const VecSpan>(spans), 10,
+                                 EmptySeenSet(), /*pool=*/nullptr, control);
+        },
+        park_at);
+    EXPECT_EQ(hit, park_at + 2) << "parked at checkpoint " << park_at;
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_TRUE(out[0].empty()) << "parked at checkpoint " << park_at;
+    EXPECT_TRUE(out[1].empty()) << "parked at checkpoint " << park_at;
+  }
+
+  // The cancelled scans leave the index reusable: an uncancelled scan
+  // returns the same hits, bit for bit.
+  auto again = store->TopKBatch(std::span<const VecSpan>(spans), 10);
+  ASSERT_EQ(again.size(), want.size());
+  for (size_t q = 0; q < want.size(); ++q) {
+    ExpectIdenticalResults(again[q], want[q]);
+  }
 }
 
 // The single-query TopK is a batch of one: it hands its ScanControl to the

@@ -1,8 +1,8 @@
 // Cross-backend parity for the batched query engine, with and without
 // exclusions, serial and pooled: the exact scan must return exactly what the
 // brute-force oracle (test_util::BruteForceTopK) returns — same ids, same
-// score bits, same order — and the approximate indexes must answer a batch
-// exactly as they answer each query alone (a batch of one).
+// score bits, same order — and the approximate index (Annoy) must answer a
+// batch exactly as it answers each query alone (a batch of one).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,6 @@
 #include "common/thread_pool.h"
 #include "store/annoy_index.h"
 #include "store/exact_store.h"
-#include "store/ivf_index.h"
 #include "tests/test_util.h"
 
 namespace seesaw::store {
@@ -88,17 +87,6 @@ TEST_F(TopKBatchParityTest, ExactStoreMatchesBruteForce) {
       ExpectIdenticalResults(store->TopK(q, k, seen_),
                              BruteForceTopK(table_, q, k, seen_));
     }
-  }
-}
-
-TEST_F(TopKBatchParityTest, IvfIndexMatchesBatchOfOne) {
-  auto store = IvfFlatIndex::Build({}, table_);
-  ASSERT_TRUE(store.ok());
-  ThreadPool pool(4);
-  for (size_t k : {1u, 10u, 50u}) {
-    CheckBatchOfOne(*store, queries_, k, EmptySeenSet(), nullptr);
-    CheckBatchOfOne(*store, queries_, k, seen_, nullptr);
-    CheckBatchOfOne(*store, queries_, k, seen_, &pool);
   }
 }
 
