@@ -301,10 +301,9 @@ int Run(int argc, char** argv) {
       // within-family bitwise gate on this table.
       std::vector<int8_t> qdata(args.batch * args.dim);
       std::vector<float> qscales(args.batch);
-      std::vector<int8_t> tmp;
       for (size_t qi = 0; qi < args.batch; ++qi) {
-        qscales[qi] = linalg::QuantizeVector(spans[qi], &tmp);
-        std::copy(tmp.begin(), tmp.end(), qdata.begin() + qi * args.dim);
+        qscales[qi] = linalg::QuantizeVectorInto(spans[qi],
+                                                 qdata.data() + qi * args.dim);
       }
       CheckInt8KernelParity(int8->quantized(), qdata, qscales, args.batch);
     }

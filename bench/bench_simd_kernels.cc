@@ -1,5 +1,5 @@
 // Scalar-reference vs dispatched SIMD kernel throughput across dims x batch
-// sizes (Dot, DotBatch, ScoreBlock — the kernels behind every scan).
+// sizes (Dot and ScoreBlock — the kernels behind every scan).
 //
 //   ./bench_simd_kernels [--rows=4096] [--dims=64,128,256,512]
 //                        [--batches=1,4,8,16] [--warmup=2] [--iters=10]

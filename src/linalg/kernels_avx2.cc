@@ -676,8 +676,7 @@ const KernelTable* Avx2KernelsOrNull() {
   if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma")) {
     return nullptr;
   }
-  static constexpr KernelTable kTable = {"avx2", DotAvx2, DotBatchAvx2,
-                                         ScoreBlockAvx2};
+  static constexpr KernelTable kTable = {"avx2", DotAvx2, ScoreBlockAvx2};
   return &kTable;
 }
 
@@ -699,8 +698,7 @@ const KernelTable* Avx512VnniKernelsOrNull() {
   // fp32 members are the AVX2 functions: the fp32 family contract pins the
   // 8-float-lane accumulation spec (bitwise parity across kernels), and the
   // fp32 scan is DRAM-bound anyway — wider vectors buy nothing there.
-  static constexpr KernelTable kTable = {"avx512vnni", DotAvx2, DotBatchAvx2,
-                                         ScoreBlockAvx2};
+  static constexpr KernelTable kTable = {"avx512vnni", DotAvx2, ScoreBlockAvx2};
   return &kTable;
 }
 

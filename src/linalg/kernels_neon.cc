@@ -162,8 +162,7 @@ void ScoreBlockI8Neon(const int8_t* rows, const float* row_scales,
 namespace internal {
 
 const KernelTable* NeonKernelsOrNull() {
-  static constexpr KernelTable kTable = {"neon", DotNeon, DotBatchNeon,
-                                         ScoreBlockNeon};
+  static constexpr KernelTable kTable = {"neon", DotNeon, ScoreBlockNeon};
   return &kTable;
 }
 

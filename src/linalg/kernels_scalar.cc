@@ -92,8 +92,7 @@ void ScoreBlockI8Scalar(const int8_t* rows, const float* row_scales,
 }  // namespace
 
 const KernelTable& ScalarKernels() {
-  static constexpr KernelTable kTable = {"scalar", DotScalar, DotBatchScalar,
-                                         ScoreBlockScalar};
+  static constexpr KernelTable kTable = {"scalar", DotScalar, ScoreBlockScalar};
   return kTable;
 }
 

@@ -30,11 +30,6 @@ void QuantizeWithScale(VecSpan src, float scale, int8_t* out) {
 
 }  // namespace
 
-float QuantizeVector(VecSpan src, std::vector<int8_t>* out) {
-  out->resize(src.size());
-  return QuantizeVectorInto(src, out->data());
-}
-
 float QuantizeVectorInto(VecSpan src, int8_t* out) {
   const float max_abs = MaxAbs(src);
   // An all-zero (or empty) vector quantizes to zeros with unit scale, so
@@ -46,7 +41,8 @@ float QuantizeVectorInto(VecSpan src, int8_t* out) {
 
 QuantizedVector QuantizeQuery(VecSpan query) {
   QuantizedVector q;
-  q.scale = QuantizeVector(query, &q.data);
+  q.data.resize(query.size());
+  q.scale = QuantizeVectorInto(query, q.data.data());
   return q;
 }
 

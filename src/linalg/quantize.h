@@ -59,16 +59,11 @@ struct QuantizedVector {
   float scale = 1.0f;
 };
 
-/// Quantizes one float vector symmetrically into `out` (resized to
-/// src.size()); returns the scale. Deterministic: round-to-nearest-even
-/// (std::nearbyintf under the default rounding mode), clamped to ±127.
-float QuantizeVector(VecSpan src, std::vector<int8_t>* out);
-
-/// In-place variant for callers that own the destination (the batched scan
-/// quantizes each query directly into its slot of one contiguous arena
-/// block instead of bouncing through a temporary vector). `out` must hold
-/// src.size() bytes. Bit-for-bit the same quantization as QuantizeVector —
-/// both run the identical MaxAbs + round-to-nearest-even pipeline.
+/// Quantizes one float vector symmetrically into `out`, which must hold
+/// src.size() bytes; returns the scale. Deterministic: round-to-nearest-even
+/// (std::nearbyintf under the default rounding mode), clamped to ±127. The
+/// batched scan quantizes each query straight into its slot of one
+/// contiguous query block.
 float QuantizeVectorInto(VecSpan src, int8_t* out);
 
 /// Convenience wrapper building a QuantizedVector.

@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD scoring kernels.
 //
 // The dense inner-product scan is the hot path of the interactive loop
-// (ExactStore row blocks, aligner/loss inner products), so Dot / DotBatch /
+// (ExactStore row blocks, aligner/loss inner products), so Dot and
 // ScoreBlock route through a per-process kernel table selected once by
 // CPU-feature detection: AVX2+FMA on x86-64, NEON on aarch64, and a portable
 // scalar reference everywhere.
@@ -24,10 +24,11 @@
 //   - The tail (n mod 8 elements) folds into the reduced sum sequentially:
 //     r = fma(a[i], b[i], r).
 //
-// Blocked kernels (DotBatch, ScoreBlock) may interleave rows and queries in
-// registers but never change the per-(row, query) accumulation order, so
-// DotBatch/ScoreBlock stay bitwise equal to per-pair Dot — the invariant the
-// batched query engine's parity guarantees are built on.
+// The blocked ScoreBlock kernel (and the file-local DotBatch helper each
+// one walks rows through) may interleave rows and queries in registers but
+// never changes the per-(row, query) accumulation order, so ScoreBlock stays
+// bitwise equal to per-pair Dot — the invariant the batched query engine's
+// parity guarantees are built on.
 //
 // Selection: the first call resolves SEESAW_FORCE_KERNEL
 // ("scalar" | "avx2" | "avx512vnni" | "neon" | "auto"; unknown or
@@ -54,10 +55,6 @@ struct KernelTable {
 
   /// r = <a, b> in spec order.
   float (*dot)(VecSpan a, VecSpan b);
-
-  /// out[q] = <a, queries[q]> for q in [0, num_queries).
-  void (*dot_batch)(VecSpan a, const VecSpan* queries, size_t num_queries,
-                    float* out);
 
   /// out[r * num_queries + q] = <row r, queries[q]> for num_rows contiguous
   /// rows of `dim` floats starting at `rows` (row stride == dim).

@@ -16,17 +16,6 @@ float Dot(VecSpan a, VecSpan b) {
   return ActiveKernels().dot(a, b);
 }
 
-void DotBatch(VecSpan a, std::span<const VecSpan> queries, MutVecSpan out) {
-  SEESAW_CHECK_EQ(queries.size(), out.size());
-  for (VecSpan q : queries) SEESAW_CHECK_EQ(q.size(), a.size());
-  // `a` is read from memory once and stays L1-resident across all queries —
-  // that loop order (row outer, queries inner) is the whole win over
-  // re-streaming the table per query. The kernel may additionally interleave
-  // query pairs in registers; per-query accumulation order is fixed by the
-  // spec (simd.h), so each entry stays bitwise identical to Dot().
-  ActiveKernels().dot_batch(a, queries.data(), queries.size(), out.data());
-}
-
 double DotDouble(VecSpan a, VecSpan b) {
   SEESAW_CHECK_EQ(a.size(), b.size());
   double s = 0.0;

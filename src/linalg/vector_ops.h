@@ -23,19 +23,12 @@ using MutVecSpan = std::span<float>;
 
 /// Inner product <a, b>. Sizes must match.
 ///
-/// Dot, DotBatch, and MatrixF::ScoreBlock all route through the runtime-
-/// dispatched SIMD kernel layer (linalg/simd.h): AVX2+FMA on x86-64, NEON on
-/// aarch64, scalar reference otherwise. Every kernel computes the same fixed
+/// Dot and MatrixF::ScoreBlock both route through the runtime-dispatched
+/// SIMD kernel layer (linalg/simd.h): AVX2+FMA on x86-64, NEON on aarch64,
+/// scalar reference otherwise. Every kernel computes the same fixed
 /// accumulation spec, so results are bitwise identical across kernels (and
 /// overridable via SEESAW_FORCE_KERNEL / ForceKernels for testing).
 float Dot(VecSpan a, VecSpan b);
-
-/// out[q] = <a, queries[q]> for every query. `a` is loaded once and stays
-/// cache-resident across all queries — the inner kernel of the batched
-/// multi-query scan. Each dot uses the same accumulation order as Dot(), so
-/// batched and scalar scoring are bitwise identical. Sizes must match;
-/// out.size() must equal queries.size().
-void DotBatch(VecSpan a, std::span<const VecSpan> queries, MutVecSpan out);
 
 /// Inner product accumulated in double precision. Use where downstream code
 /// is sensitive to accumulation noise (e.g. optimizer line searches over a

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -379,6 +380,13 @@ void SeeSawServer::HandleRequest(const std::shared_ptr<Connection>& conn,
       NextBatchRequest req;
       if (!DecodeNextBatchRequest(payload, &req)) {
         fail(WireError::kMalformedFrame, "NextBatch payload malformed");
+        return;
+      }
+      if (req.n > kMaxBatchEntries) {
+        // The reply could not be decoded; refuse before any scan runs.
+        fail(WireError::kInvalidArgument,
+             "NextBatch n exceeds the reply cap of " +
+                 std::to_string(kMaxBatchEntries) + " results");
         return;
       }
       StatusOr<core::SessionLease> lease = manager_.Acquire(req.session_id);

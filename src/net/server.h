@@ -197,19 +197,17 @@ class SeeSawServer {
 
   // ----- hot admission state: one cache line per contended atomic -----
   //
-  // Layout rationale (the memory-audit contract this PR introduced): these
-  // three atomics are on the per-request fast path and are written by
-  // *different* threads — `stop_` is polled by the loop every iteration and
-  // every DispatchFrame; `queued_requests_` is CAS-bumped by the loop at
-  // admission and decremented by each finishing handler;
-  // `inflight_handlers_` is incremented by the loop and decremented by
-  // handlers (acq_rel, it orders the Stop() drain). Packed back to back
-  // (their state before this audit, together with the stats below) every
+  // Layout rationale: these three atomics are on the per-request fast path
+  // and are written by *different* threads — `stop_` is polled by the loop
+  // every iteration and every DispatchFrame; `queued_requests_` is
+  // CAS-bumped by the loop at admission and decremented by each finishing
+  // handler; `inflight_handlers_` is incremented by the loop and decremented
+  // by handlers (acq_rel, it orders the Stop() drain). Packed back to back
+  // (together with the stats below) every
   // handler-epilogue decrement invalidated the loop thread's line holding
   // `stop_`, turning two unrelated counters plus a flag into one
   // ping-ponged line at request rate. CacheAligned gives each its own line
-  // so writers only ever dirty their own word. diag_memory's padded-vs-
-  // packed A/B measures exactly this shape.
+  // so writers only ever dirty their own word.
   CacheAligned<std::atomic<bool>> stop_;
 
   /// Admission stage 3 counter (dispatched-but-unfinished handlers).

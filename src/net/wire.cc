@@ -12,7 +12,6 @@ namespace {
 // keeps a hostile length from triggering a huge speculative reserve().
 constexpr uint32_t kMaxStringBytes = 1u << 20;   // 1 MiB text / user key
 constexpr uint32_t kMaxVectorDims = 1u << 20;    // 1M floats
-constexpr uint32_t kMaxBatchEntries = 1u << 20;  // 1M results
 constexpr uint32_t kMaxBoxes = 1u << 16;         // 64K region boxes
 // Shard seen-set exclusions: capacity is bounded by the shard's row count,
 // so 1<<27 ids (16 MiB of words) covers any shard the scale work reaches

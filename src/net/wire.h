@@ -47,6 +47,10 @@ inline constexpr uint32_t kMagic = 0x53534157u;  // "SSAW"
 inline constexpr uint16_t kProtocolVersion = 1;
 inline constexpr size_t kHeaderBytes = 20;
 
+/// Most results one reply frame may carry (1M). Decoders reject a larger
+/// count, so the server also refuses a NextBatch that asks for more.
+inline constexpr uint32_t kMaxBatchEntries = 1u << 20;
+
 /// Reply frame types are their request type with this bit set.
 inline constexpr uint16_t kReplyBit = 0x80;
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/aligned.h"
-#include "common/arena.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "linalg/simd.h"
@@ -76,25 +75,18 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
   const size_t dim = vectors_.cols();
   const bool int8 = options_.precision == ScanPrecision::kInt8;
 
-  // All call-lifetime scratch comes from a leased arena: after the first
-  // call at a given (queries, dim) shape the lease costs zero allocations,
-  // where the former fresh-vector scratch paid a malloc/free set per call
-  // (tests/memory_audit_test.cc gates this). A *pooled* lease rather than
-  // thread_local scratch because HelpUntil waiters are caller-runs: this
-  // thread can execute a second TopKBatch as a helped task while shard
-  // tasks of this call still read `qdata` — see common/arena.h.
-  ScratchPool::Lease call_scratch = GlobalScanScratch().Acquire();
-
   // Int8 scans quantize the query batch once, into one contiguous block
   // matching the Int8KernelTable::score_block layout (each query quantized
-  // in place into its slot — no bounce buffer).
-  std::span<int8_t> qdata;
-  std::span<float> qscales;
+  // in place into its slot — no bounce buffer). The scratch is plain
+  // per-call memory: the ParallelFor below joins before this call returns,
+  // so a nested caller-runs scan on this thread gets its own locals.
+  std::vector<int8_t> qdata;
+  std::vector<float> qscales;
   const linalg::Int8KernelTable* int8_kernels = nullptr;
   if (int8) {
     int8_kernels = &linalg::ActiveInt8Kernels();
-    qdata = call_scratch->Alloc<int8_t>(num_queries * dim);
-    qscales = call_scratch->Alloc<float>(num_queries);
+    qdata.resize(num_queries * dim);
+    qscales.resize(num_queries);
     for (size_t q = 0; q < num_queries; ++q) {
       qscales[q] =
           linalg::QuantizeVectorInto(queries[q], qdata.data() + q * dim);
@@ -115,9 +107,6 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
   // line: the inner vector's header (pointer/size) is rewritten on every
   // Push, and unpadded slots of adjacent shards — 24 bytes apart in one
   // contiguous vector — would false-share under the per-shard fan-out.
-  // (The heaps themselves still heap-allocate per call: their storage
-  // becomes the returned results, so it cannot come from the scratch
-  // arena, whose spans die at lease release.)
   struct ShardHeapSlot {
     CacheAligned<std::vector<TopKHeap>> padded;
   };
@@ -129,22 +118,14 @@ std::vector<std::vector<SearchResult>> ExactStore::TopKBatch(
     const size_t begin = shard * rows_per_shard;
     const size_t end = std::min(begin + rows_per_shard, n);
     std::vector<TopKHeap>& shard_heaps = heaps[shard].padded.value;
-    // Shard-lifetime scratch: leased per shard *task*, so each worker bumps
-    // its own arena (allocations are line-aligned — no cross-shard false
-    // sharing on the threshold arrays) and a warm pool serves the whole
-    // fan-out without touching the allocator. Alloc returns raw memory;
-    // the fills below are the required initialization.
-    ScratchPool::Lease shard_scratch = GlobalScanScratch().Acquire();
-    std::span<float> scores =
-        shard_scratch->Alloc<float>(kRowBlock * num_queries);
-    // Per-query admission thresholds mirrored out of the heaps into flat
-    // arrays, so the overwhelmingly common reject is one compare instead of
-    // a heap-front pointer chase inside the innermost loop.
-    std::span<float> worst_score = shard_scratch->Alloc<float>(num_queries);
-    std::span<uint32_t> worst_id = shard_scratch->Alloc<uint32_t>(num_queries);
-    std::fill(worst_score.begin(), worst_score.end(),
-              -std::numeric_limits<float>::infinity());
-    std::fill(worst_id.begin(), worst_id.end(), 0u);
+    // Shard-task scratch: one score block, plus per-query admission
+    // thresholds mirrored out of the heaps into flat arrays, so the
+    // overwhelmingly common reject is one compare instead of a heap-front
+    // pointer chase inside the innermost loop.
+    std::vector<float> scores(kRowBlock * num_queries);
+    std::vector<float> worst_score(num_queries,
+                                   -std::numeric_limits<float>::infinity());
+    std::vector<uint32_t> worst_id(num_queries, 0u);
     auto admit = [&](size_t q, uint32_t id, float score) {
       TopKHeap& heap = shard_heaps[q];
       if (heap.Full()) {

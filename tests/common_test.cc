@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "common/aligned.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/statusor.h"
@@ -373,6 +375,21 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
     }
   }
   EXPECT_EQ(count.load(), 20);
+}
+
+// ---------------------------------------------------------- CacheAligned --
+
+TEST(CacheAlignedTest, LayoutGuarantees) {
+  static_assert(alignof(CacheAligned<std::atomic<bool>>) == kCacheLineSize);
+  static_assert(sizeof(CacheAligned<std::atomic<size_t>>) == kCacheLineSize);
+  // Adjacent padded atomics land on distinct lines — the property every
+  // padded hot field (server admission counters, pool latch, prefetch
+  // budget) buys with its 64 bytes.
+  CacheAligned<std::atomic<size_t>> pair[2];
+  auto a = reinterpret_cast<uintptr_t>(&pair[0].value);
+  auto b = reinterpret_cast<uintptr_t>(&pair[1].value);
+  EXPECT_GE(b - a, kCacheLineSize);
+  EXPECT_EQ(a % kCacheLineSize, 0u);
 }
 
 }  // namespace

@@ -397,6 +397,25 @@ TEST(NetServerTest, OutOfRangeOrNonFiniteFeedbackIsInvalidArgument) {
   EXPECT_EQ(batch->size(), 5u);
 }
 
+TEST(NetServerTest, NextBatchLargerThanTheReplyCapIsInvalidArgument) {
+  // A reply of more than kMaxBatchEntries results would be refused by the
+  // client's own decoder, so the server rejects the request up front — on a
+  // connection that stays open, without consuming the session.
+  ServerFixture f;
+  auto client = f.Client();
+  auto id = client.CreateSession("car");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  for (size_t n : {size_t{net::kMaxBatchEntries} + 1, size_t{0xFFFFFFFFu}}) {
+    auto huge = client.NextBatch(*id, n);
+    EXPECT_TRUE(huge.status().IsInvalidArgument()) << huge.status().ToString();
+    EXPECT_EQ(client.last_wire_error(), net::WireError::kInvalidArgument);
+  }
+  EXPECT_EQ(f.server.stats().requests_error, 2u);
+  auto batch = client.NextBatch(*id, 5);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->size(), 5u);
+}
+
 TEST(NetServerTest, TtlEvictionIsVisibleOverTheWire) {
   core::SessionLimits limits = ServingLimits();
   limits.idle_ttl_seconds = 0.05;

@@ -86,32 +86,6 @@ TEST_F(SimdKernelTest, DotBitwiseParityAcrossKernelsAndDims) {
   }
 }
 
-TEST_F(SimdKernelTest, DotBatchBitwiseEqualsDotPerQuery) {
-  Rng rng(11);
-  for (const std::string& name : SupportedKernels()) {
-    const KernelTable* kernel = FindKernels(name);
-    ASSERT_NE(kernel, nullptr);
-    for (size_t dim : {3u, 17u, 64u, 129u, 384u}) {
-      VectorF a = RandomVector(rng, dim);
-      for (size_t batch : {1u, 2u, 3u, 4u, 5u, 8u}) {
-        std::vector<VectorF> queries;
-        for (size_t q = 0; q < batch; ++q) {
-          queries.push_back(RandomVector(rng, dim));
-        }
-        std::vector<VecSpan> spans(queries.begin(), queries.end());
-        std::vector<float> out(batch);
-        kernel->dot_batch(a, spans.data(), batch, out.data());
-        for (size_t q = 0; q < batch; ++q) {
-          EXPECT_TRUE(BitEq(kernel->dot(a, spans[q]), out[q]))
-              << name << " dim=" << dim << " batch=" << batch << " q=" << q;
-          EXPECT_TRUE(BitEq(ScalarKernels().dot(a, spans[q]), out[q]))
-              << name << " dim=" << dim << " batch=" << batch << " q=" << q;
-        }
-      }
-    }
-  }
-}
-
 TEST_F(SimdKernelTest, ScoreBlockBitwiseEqualsDotPerCell) {
   Rng rng(13);
   for (const std::string& name : SupportedKernels()) {
@@ -210,11 +184,6 @@ TEST_F(SimdKernelTest, PublicApiRoutesThroughForcedKernel) {
     EXPECT_TRUE(BitEq(want, Dot(a, b))) << name;
 
     std::vector<VecSpan> queries = {a, b};
-    VectorF out(2);
-    DotBatch(b, queries, out);
-    EXPECT_TRUE(BitEq(ScalarKernels().dot(b, a), out[0])) << name;
-    EXPECT_TRUE(BitEq(ScalarKernels().dot(b, b), out[1])) << name;
-
     MatrixF table(3, dim);
     for (size_t r = 0; r < 3; ++r) {
       VectorF row = RandomVector(rng, dim);
@@ -261,7 +230,6 @@ TEST_F(SimdKernelTest, EmptyInputsAreZero) {
     const KernelTable* kernel = FindKernels(name);
     ASSERT_NE(kernel, nullptr);
     EXPECT_TRUE(BitEq(0.0f, kernel->dot(VecSpan{}, VecSpan{}))) << name;
-    kernel->dot_batch(VecSpan{}, nullptr, 0, nullptr);
     kernel->score_block(nullptr, 0, 0, nullptr, 0, nullptr);
   }
 }
